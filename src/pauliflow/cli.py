@@ -143,7 +143,7 @@ def parse_pattern_document(doc, float_angles: bool = False):
     except ValueError as exc:
         raise SchemaError("", str(exc))
 
-    flow = parse_flow(doc["flow"], "/flow") if "flow" in doc else None
+    flow = parse_flow(doc["flow"], "/flow", vertices) if "flow" in doc else None
     fsets = None
     if "fsets" in doc:
         fsets = [frozenset(_str_list(fs, f"/fsets/{i}"))
@@ -151,7 +151,8 @@ def parse_pattern_document(doc, float_angles: bool = False):
     return pattern, flow, fsets
 
 
-def parse_flow(obj, path: str) -> flow_mod.PauliFlowData:
+def parse_flow(obj, path: str, vertices=()) -> flow_mod.PauliFlowData:
+    """Parse a flow; vertices the depth map leaves out sit at depth 0."""
     _expect_keys(obj, ["p", "depth", "order"], ["p"], path)
     if ("depth" in obj) == ("order" in obj):
         raise SchemaError(path, "exactly one of depth/order required")
@@ -163,11 +164,12 @@ def parse_flow(obj, path: str) -> flow_mod.PauliFlowData:
         for v, d in obj["depth"].items():
             if not isinstance(d, int) or d < 0:
                 raise SchemaError(f"{path}/depth/{v}", "expected a non-negative integer")
-        order = flow_mod.FlowOrder.from_depth(obj["depth"])
+        order = flow_mod.FlowOrder.from_depth(obj["depth"], vertices)
     else:
         pairs = set()
         for i, pair in enumerate(obj["order"]):
-            if not isinstance(pair, list) or len(pair) != 2:
+            if not isinstance(pair, list) or len(pair) != 2 \
+                    or not all(isinstance(x, str) for x in pair):
                 raise SchemaError(f"{path}/order/{i}", "expected a pair")
             pairs.add((pair[0], pair[1]))
         order = flow_mod.FlowOrder.from_pairs(pairs)
@@ -272,21 +274,37 @@ def circuit_json(circuit: Circuit) -> dict:
 
 
 def parse_circuit(doc) -> Circuit:
+    """Parse and validate: distinct wire indices in range, each gate's
+    arity, and the angle and string a gate needs."""
     _expect_keys(doc, ["wires", "gates"], ["wires", "gates"], "")
+    wires = doc["wires"]
+    if type(wires) is not int or wires < 0 or not isinstance(doc["gates"], list):
+        raise SchemaError("", "wires must be a non-negative integer and gates a list")
     gates = []
     for i, g in enumerate(doc["gates"]):
-        _expect_keys(g, ["gate", "qubits", "angle", "string"], ["gate", "qubits"],
-                     f"/gates/{i}")
-        if g["gate"] not in GATE_NAMES:
-            raise SchemaError(f"/gates/{i}/gate", f"unknown gate {g['gate']!r}")
-        angle = parse_angle(g["angle"], f"/gates/{i}/angle") if "angle" in g else None
+        path = f"/gates/{i}"
+        _expect_keys(g, ["gate", "qubits", "angle", "string"], ["gate", "qubits"], path)
+        name, qubits = g["gate"], g["qubits"]
+        if name not in GATE_NAMES:
+            raise SchemaError(f"{path}/gate", f"unknown gate {name!r}")
+        arity = {"CZ": 2, "CX": 2, "EXP": None}.get(name, 1)
+        if not isinstance(qubits, list) or len(set(qubits)) != len(qubits) \
+                or any(type(q) is not int or not 0 <= q < wires for q in qubits) \
+                or arity not in (None, len(qubits)):
+            raise SchemaError(f"{path}/qubits", f"{name} needs {arity or 'its'} distinct "
+                              f"wire indices in [0, {wires})")
+        if name in ("RZ", "RX", "EXP") and "angle" not in g or name == "EXP" and "string" not in g:
+            raise SchemaError(path, f"{name} lacks its angle or string")
+        angle = parse_angle(g["angle"], f"{path}/angle") if "angle" in g else None
         string = None
         if "string" in g:
             raw = parse_string(g["string"])
+            if not all(q.isdigit() and int(q) in qubits for q in raw.letters):
+                raise SchemaError(f"{path}/string", "string leaves the gate's wires")
             string = SignedPauliString(
                 {int(q): l for q, l in raw.letters.items()}, raw.phase_pow)
-        gates.append(Gate(g["gate"], tuple(g["qubits"]), angle, string))
-    return Circuit(doc["wires"], tuple(gates))
+        gates.append(Gate(name, tuple(qubits), angle, string))
+    return Circuit(wires, tuple(gates))
 
 
 def dumps(doc) -> str:
@@ -308,10 +326,9 @@ def _emit(doc) -> None:
 def _need_flow(pattern, flow):
     if flow is not None:
         return flow
-    found = flow_mod.find_pauli_flow(pattern.graph)
+    found, stuck = flow_mod.find_pauli_flow_detailed(pattern.graph)
     if found is None:
-        raise flow_mod.NoPauliFlowError(
-            flow_mod.find_pauli_flow_detailed(pattern.graph)[1])
+        raise flow_mod.NoPauliFlowError(stuck)
     return found
 
 
@@ -385,6 +402,13 @@ def cmd_rewrite(args) -> int:
     if fsets is None:
         fsets = flow_mod.focussed_set_generators(pattern.graph)
     kind = args.kind
+    vertices = pattern.graph.vertices
+    if args.at not in vertices:
+        raise SchemaError("--at", f"{args.at!r} is not a vertex")
+    if kind == "pivot" and args.with_ is not None and args.with_ not in vertices:
+        raise SchemaError("--with", f"{args.with_!r} is not a vertex")
+    if kind == "switch" and not 0 <= args.fset_index < len(fsets):
+        raise SchemaError("--fset-index", f"{args.fset_index} is not in [0, {len(fsets)})")
     if kind == "relabel":
         report = rewrite_mod.relabel_pauli(pattern, flow, fsets, args.at)
     elif kind == "zelim":

@@ -14,13 +14,12 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .flow import (
-    FlowOrder,
     FocussedSet,
     NoPauliFlowError,
     PauliFlowData,
     find_pauli_flow_detailed,
     focus_flow,
-    focussed_over_single,
+    focus_over,
     focussed_set_generators,
     is_flow_focussed,
     paulis_first,
@@ -29,7 +28,9 @@ from .flow import (
 )
 from .graph import LabelledOpenGraph, MeasurementPattern, TrailingGate
 from .pauli import Rotation, SignedPauliString, single
-from .pddag import Circuit, IsometryTableau, Pddag, build_pddag, node_rotation, synthesize
+from .pddag import (
+    GATE_ROTATIONS, Circuit, IsometryTableau, Pddag, build_pddag, node_rotation, synthesize,
+)
 
 
 @dataclass(frozen=True)
@@ -44,44 +45,17 @@ class ExtractionString:
         return self.string.sign
 
 
+# Pauli on a vertex by its membership of (a set, the set's odd neighbourhood)
+_AXIS = {(True, False): "X", (True, True): "Y", (False, True): "Z"}
+
+
 def primary_axis(graph: LabelledOpenGraph, flow: PauliFlowData, v: str) -> str:
     """X / Y / Z by membership of v in p(v) and Odd(p(v))."""
     p = flow.p[v]
-    odd = graph.odd_neighbourhood(p)
-    in_p, in_odd = v in p, v in odd
-    if in_p and not in_odd:
-        return "X"
-    if in_p and in_odd:
-        return "Y"
-    if not in_p and in_odd:
-        return "Z"
-    raise ValueError(f"{v!r} is in neither its correction set nor its odd neighbourhood")
-
-
-def _string_over_outputs(graph: LabelledOpenGraph, members: FrozenSet[str]) -> Dict[str, str]:
-    odd = graph.odd_neighbourhood(members)
-    letters = {}
-    for q in graph.outputs:
-        in_m, in_odd = q in members, q in odd
-        if in_m and in_odd:
-            letters[q] = "Y"
-        elif in_m:
-            letters[q] = "X"
-        elif in_odd:
-            letters[q] = "Z"
-    return letters
-
-
-def _sign_exponent(pattern: MeasurementPattern, members: FrozenSet[str],
-                   exclude: Optional[str]) -> int:
-    g = pattern.graph
-    odd = g.odd_neighbourhood(members)
-    overlap = members & odd
-    if len(overlap) % 2:
-        raise ValueError("correction set overlaps its odd neighbourhood oddly")
-    pauli_pi = pattern.pauli_pi_vertices() - ({exclude} if exclude else set())
-    c = g.edges_inside(members) + len(overlap) // 2 + len((members | odd) & pauli_pi)
-    return c % 2
+    axis = _AXIS.get((v in p, v in graph.odd_neighbourhood(p)))
+    if axis is None:
+        raise ValueError(f"{v!r} is in neither its correction set nor its odd neighbourhood")
+    return axis
 
 
 def extraction_string(pattern: MeasurementPattern, flow_or_fset, v: Optional[str] = None) -> ExtractionString:
@@ -94,9 +68,16 @@ def extraction_string(pattern: MeasurementPattern, flow_or_fset, v: Optional[str
     else:
         members = frozenset(flow_or_fset)
         axis = None
-    c = _sign_exponent(pattern, members, exclude=v)
-    string = SignedPauliString(_string_over_outputs(g, members), 2 * c)
-    return ExtractionString(axis, string)
+    # sign: one flip per edge inside the set, per Y pair, per absorbed
+    # Pauli measurement at angle pi (other than v itself)
+    odd = g.odd_neighbourhood(members)
+    overlap = members & odd
+    if len(overlap) % 2:
+        raise ValueError("correction set overlaps its odd neighbourhood oddly")
+    pauli_pi = pattern.pauli_pi_vertices() - {v}
+    c = g.edges_inside(members) + len(overlap) // 2 + len((members | odd) & pauli_pi)
+    letters = {q: _AXIS[q in members, q in odd] for q in g.outputs if q in members or q in odd}
+    return ExtractionString(axis, SignedPauliString(letters, 2 * (c % 2)))
 
 
 # -- input extension ------------------------------------------------------------
@@ -107,30 +88,18 @@ def _extend_all_inputs(pattern: MeasurementPattern, flow: PauliFlowData):
     g = pattern.graph
     angles = dict(pattern.angles)
     p = dict(flow.p)
-    pairs = set(flow.order.as_pairs(g.vertices))
+    extra = []
     ext: Dict[str, str] = {}
     for u in sorted(pattern.graph.inputs):
         nbrs = g.neighbours(u)
         g, new = g.input_extend(u)
         angles[new] = Fraction(0)
         p[new] = frozenset({u})
-        pairs |= {(new, w) for w in nbrs | {u}}
+        extra += [(new, w) for w in nbrs | {u}]
         ext[u] = new
     new_pattern = pattern.with_graph(g, angles=angles, trailing=())
-    new_flow = PauliFlowData(p, FlowOrder.from_pairs(pairs))
+    new_flow = PauliFlowData(p, flow.order.extended(pattern.graph.vertices, extra))
     return new_pattern, new_flow, ext
-
-
-def _focus_one(graph: LabelledOpenGraph, p: Dict[str, FrozenSet[str]],
-               order: FlowOrder, v: str) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    """Focus p[v] over the other measured vertices; returns (set, fired trace)."""
-    current = p[v]
-    trace = set()
-    for w in order.temporal_order(graph.measured):
-        if w != v and not focussed_over_single(graph, current, w):
-            current = current ^ p[w]
-            trace ^= {w}
-    return current, frozenset(trace)
 
 
 # -- the pipeline -----------------------------------------------------------------
@@ -164,8 +133,7 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
         fsets = focussed_set_generators(g)
 
     # Rotation nodes, one per planar measured vertex, earliest first.
-    planar = [v for v in g.measured if g.is_planar(v)]
-    temporal = [v for v in flow.order.temporal_order(g.measured) if v in set(planar)]
+    temporal = [v for v in flow.order.temporal_order(g.measured) if g.is_planar(v)]
     # Identity-string nodes (a measured vertex whose angle cannot reach the
     # outputs) are kept: they are global phases, and rewrites may turn them
     # into real rotations and back.
@@ -180,6 +148,8 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
     epattern, eflow, ext_ids = _extend_all_inputs(pattern, flow)
     eg = epattern.graph
     ep = dict(eflow.p)
+    eodd: Dict[str, FrozenSet[str]] = {}
+    sweep = eflow.order.temporal_order(eg.measured)
     z_rows: Dict[str, SignedPauliString] = {}
     x_rows: Dict[str, SignedPauliString] = {}
     traces: Dict[str, FrozenSet[str]] = {}
@@ -197,8 +167,9 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
             focussed, trace = frozenset(extension_sets[u]), frozenset()
             if not verify_focussed(eg, focussed, eg.measured - {up}):
                 raise ValueError(f"supplied extension set for {u!r} is not focussed")
+            eodd.pop(up, None)
         else:
-            focussed, trace = _focus_one(eg, ep, eflow.order, up)
+            focussed, eodd[up], trace = focus_over(eg, ep, eodd, sweep, up)
         ep[up] = focussed
         xflow = PauliFlowData(ep, eflow.order)
         xs = extraction_string(epattern, xflow, up)
@@ -225,14 +196,8 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
 def trailing_rotations(gate: TrailingGate) -> List[Rotation]:
     """Trailing single-qubit gate as end-of-circuit rotations, temporal order."""
     q = gate.qubit
-    if gate.name == "Z":
-        return [Rotation(single(q, "Z"), 1)]
-    if gate.name == "X":
-        return [Rotation(single(q, "X"), 1)]
-    if gate.name == "S":
-        return [Rotation(single(q, "Z"), Fraction(-1, 2))]
-    if gate.name == "Sdg":
-        return [Rotation(single(q, "Z"), Fraction(1, 2))]
+    if gate.name in GATE_ROTATIONS:
+        return GATE_ROTATIONS[gate.name](q)
     if gate.name == "RZ":
         return [Rotation(single(q, "Z"), -gate.angle)]
     if gate.name == "RX":

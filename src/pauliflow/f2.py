@@ -29,15 +29,9 @@ class F2Matrix:
             rows.append(sum(1 << j for j, v in enumerate(r) if v & 1))
         return cls(rows, cols)
 
-    def to_lists(self) -> List[List[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def copy(self) -> "F2Matrix":
-        return F2Matrix(list(self.rows), self.cols)
 
 
 def gauss(m: F2Matrix) -> Tuple[F2Matrix, int, List[int], List[int]]:
@@ -118,6 +112,14 @@ def in_span(rows: Sequence[int], cols: int, target: int) -> Optional[int]:
             acc ^= echelon.rows[i]
             combo ^= record[i]
     return combo if acc == 0 else None
+
+
+def bits(mask: int):
+    """Set bit positions of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _parity(x: int) -> int:

@@ -1,16 +1,18 @@
 """Pauli flow: verification, maximally delayed identification and focussing.
 
 The identification algorithm works backwards from the outputs, solving a
-GF(2) witness system per candidate vertex and depth round.  Orders are
-kept either as a depth map (vertex depth counts from the outputs, so
-``u`` before ``v`` iff ``d(u) > d(v)``) or as an explicit strict partial
-order; flow switching extends orders beyond what a depth map can hold.
+GF(2) witness system per candidate vertex and depth round.  Every flow
+order is a ``FlowOrder``: a strict partial order held as closed successor
+bit masks over a vertex index.  Identification builds it from a depth map
+(depth counts from the outputs, so ``u`` before ``v`` iff
+``d(u) > d(v)``), flow switching and input extension build it from pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import f2
 from .graph import LabelledOpenGraph, PAULI_LABELS, PLANAR_LABELS
@@ -27,96 +29,180 @@ class NoPauliFlowError(ValueError):
 
 
 class FlowOrder:
-    """A strict partial order, backed by a depth map or a closed pair set."""
+    """A strict partial order on vertex ids, as closed successor bit masks.
 
-    def __init__(self, depth: Optional[Mapping[str, int]] = None,
-                 pairs: Optional[FrozenSet[Tuple[str, str]]] = None):
-        if (depth is None) == (pairs is None):
-            raise ValueError("exactly one of depth/pairs required")
+    Bit j of ``succ[i]`` is set iff ``verts[i]`` is measured strictly before
+    ``verts[j]``.  ``verts`` lists later vertices first, so the highest bit
+    of a successor mask is a covering (Hasse) successor.  Vertices outside
+    ``verts`` are incomparable to all.  Instances are immutable; emission
+    orders are memoised.  ``depth`` is the depth map the order was built
+    from, if any, so flow documents can be written back in depth form.
+    """
+
+    def __init__(self, verts: Sequence[str], succ: Sequence[int],
+                 depth: Optional[Mapping[str, int]] = None):
+        self.verts = tuple(verts)
+        self.index = {v: i for i, v in enumerate(self.verts)}
+        self.succ = tuple(succ)
         self.depth = dict(depth) if depth is not None else None
-        self.pairs = pairs
+        self._emission: Dict[FrozenSet[str], Tuple[str, ...]] = {}
 
     @classmethod
-    def from_depth(cls, depth: Mapping[str, int]) -> "FlowOrder":
-        return cls(depth=depth)
+    def from_depth(cls, depth: Mapping[str, int],
+                   vertices: Iterable[str] = ()) -> "FlowOrder":
+        """The order of a depth map; the given vertices it omits sit at depth 0."""
+        full = dict.fromkeys(vertices, 0)
+        full.update(depth)
+        verts = sorted(full, key=lambda v: (full[v], v))
+        first: Dict[int, int] = {}  # depth -> index of its first vertex
+        for i, v in enumerate(verts):
+            first.setdefault(full[v], i)
+        return cls(verts, [(1 << first[full[v]]) - 1 for v in verts], depth)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, str]]) -> "FlowOrder":
-        closed = _transitive_closure(set(pairs))
-        for a, b in closed:
-            if a == b or (b, a) in closed:
-                raise FlowFormatError(f"order has a cycle through {a!r}")
-        return cls(pairs=frozenset(closed))
+        """Transitive closure of the (before, after) pairs; cycles are rejected."""
+        pairs = list(pairs)
+        verts = sorted({v for pair in pairs for v in pair})
+        index = {v: i for i, v in enumerate(verts)}
+        direct = [0] * len(verts)
+        for a, b in pairs:
+            direct[index[a]] |= 1 << index[b]
+        return cls(*_close(verts, direct))
 
     def precedes(self, u: str, v: str) -> bool:
         """True iff u is strictly before v (measured earlier)."""
-        if self.depth is not None:
-            return self.depth.get(u, 0) > self.depth.get(v, 0)
-        return (u, v) in self.pairs
+        i = self.index.get(u)
+        j = self.index.get(v)
+        return i is not None and j is not None and (self.succ[i] >> j) & 1 == 1
+
+    def _mask(self, vertices: Iterable[str]) -> int:
+        index = self.index
+        return sum(1 << index[v] for v in set(vertices) if v in index)
 
     def as_pairs(self, vertices: Iterable[str]) -> FrozenSet[Tuple[str, str]]:
-        if self.pairs is not None:
-            vs = set(vertices)
-            return frozenset((a, b) for a, b in self.pairs if a in vs and b in vs)
-        vs = list(vertices)
+        sel = self._mask(vertices)
+        verts = self.verts
         return frozenset(
-            (a, b) for a in vs for b in vs if self.depth.get(a, 0) > self.depth.get(b, 0)
+            (verts[i], verts[j]) for i in f2.bits(sel) for j in f2.bits(self.succ[i] & sel)
         )
 
+    def restricted(self, vertices: Iterable[str],
+                   targets: Optional[Iterable[str]] = None) -> "FlowOrder":
+        """This order on the given vertices; with targets, only the pairs
+        whose later vertex is a target (either way the result stays closed)."""
+        vertices = frozenset(vertices)
+        sel = self._mask(vertices)
+        keep = sel if targets is None else sel & self._mask(targets)
+        succ = [s & keep if (sel >> i) & 1 else 0 for i, s in enumerate(self.succ)]
+        depth = None
+        if self.depth is not None and targets is None:
+            depth = {v: d for v, d in self.depth.items() if v in vertices}
+        return FlowOrder(self.verts, succ, depth)
+
     def extended(self, vertices: Iterable[str], extra: Iterable[Tuple[str, str]]) -> "FlowOrder":
-        return FlowOrder.from_pairs(set(self.as_pairs(vertices)) | set(extra))
+        """This order on the given vertices plus the extra pairs, closed: a
+        pair (a, b) puts everything up to a before everything from b on.
+        New vertices are listed last; if a pair runs against the listing,
+        the vertices are relisted."""
+        extra = list(extra)
+        fresh = sorted({v for pair in extra for v in pair} - self.index.keys())
+        verts = self.verts + tuple(fresh)
+        index = {v: i for i, v in enumerate(verts)}
+        sel = self._mask(vertices)
+        succ = [s & sel if (sel >> i) & 1 else 0 for i, s in enumerate(self.succ)]
+        succ += [0] * len(fresh)
+        for a, b in extra:
+            ia, ib = index[a], index[b]
+            if (succ[ia] >> ib) & 1:
+                continue
+            if ia == ib or (succ[ib] >> ia) & 1:
+                raise FlowFormatError(f"order has a cycle through {a!r}")
+            reach = succ[ib] | (1 << ib)
+            for x, s in enumerate(succ):
+                if x == ia or (s >> ia) & 1:
+                    succ[x] = s | reach
+        if any(s >> i for i, s in enumerate(succ)):
+            return FlowOrder(*_close(verts, succ))
+        return FlowOrder(verts, succ)
 
     def emission_order(self, vertices: Iterable[str]) -> List[str]:
         """Latest-measured first, deterministic (lexicographic tie-break)."""
-        vs = sorted(set(vertices))
-        if self.depth is not None:
-            return sorted(vs, key=lambda v: (self.depth.get(v, 0), v))
-        remaining = set(vs)
+        key = frozenset(vertices)
+        out = self._emission.get(key)
+        if out is None:
+            out = self._emission[key] = self._emit(key)
+        return list(out)
+
+    def _emit(self, vertices: FrozenSet[str]) -> Tuple[str, ...]:
+        """Kahn's algorithm over the covering pairs among the vertices,
+        latest first, smallest id first among the ready ones."""
+        verts, succ = self.verts, self.succ
+        sel = self._mask(vertices)
+        covers = {}  # vertex -> number of its covering successors not yet out
+        covered_by: Dict[int, List[int]] = {}
+        for i in f2.bits(sel):
+            m = succ[i] & sel
+            n = 0
+            while m:
+                j = m.bit_length() - 1
+                covered_by.setdefault(j, []).append(i)
+                n += 1
+                m &= ~(succ[j] | (1 << j))
+            covers[i] = n
+        heap = [(v, -1) for v in vertices if v not in self.index]
+        heap += [(verts[i], i) for i, n in covers.items() if n == 0]
+        heapq.heapify(heap)
         out: List[str] = []
-        while remaining:
-            maximal = sorted(
-                v for v in remaining
-                if not any((v, w) in self.pairs for w in remaining if w != v)
-            )
-            if not maximal:
-                raise FlowFormatError("order is cyclic")
-            pick = maximal[0]
-            out.append(pick)
-            remaining.remove(pick)
-        return out
+        while heap:
+            v, j = heapq.heappop(heap)
+            out.append(v)
+            for i in covered_by.get(j, ()):
+                covers[i] -= 1
+                if covers[i] == 0:
+                    heapq.heappush(heap, (verts[i], i))
+        return tuple(out)
 
     def temporal_order(self, vertices: Iterable[str]) -> List[str]:
         """Earliest-measured first."""
         return list(reversed(self.emission_order(vertices)))
 
 
-def _transitive_closure(pairs: Set[Tuple[str, str]]) -> Set[Tuple[str, str]]:
-    succ: Dict[str, Set[str]] = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(succ):
-            new = set()
-            for b in succ[a]:
-                new |= succ.get(b, set())
-            if not new <= succ[a]:
-                succ[a] |= new
-                changed = True
-    return {(a, b) for a, bs in succ.items() for b in bs}
+def _close(verts: Sequence[str], direct: List[int]) -> Tuple[List[str], List[int]]:
+    """Transitive closure of successor masks, relisted later vertices first
+    (Kahn's algorithm: a vertex is listed once all its successors are)."""
+    n = len(direct)
+    pending = [m.bit_count() for m in direct]
+    before: List[List[int]] = [[] for _ in range(n)]
+    for i, m in enumerate(direct):
+        for j in f2.bits(m):
+            before[j].append(i)
+    rank = [0] * n
+    closed: List[int] = []
+    listed: List[str] = []
+    ready = [i for i in range(n) if not pending[i]]
+    while ready:
+        j = ready.pop()
+        reach = 0
+        for k in f2.bits(direct[j]):
+            reach |= closed[rank[k]] | (1 << rank[k])
+        rank[j] = len(closed)
+        closed.append(reach)
+        listed.append(verts[j])
+        for i in before[j]:
+            pending[i] -= 1
+            if not pending[i]:
+                ready.append(i)
+    if len(closed) < n:
+        stuck = sorted(verts[i] for i in range(n) if pending[i])
+        raise FlowFormatError(f"order has a cycle through some of {stuck}")
+    return listed, closed
 
 
 @dataclass(frozen=True)
 class PauliFlowData:
     p: Mapping[str, FrozenSet[str]]
     order: FlowOrder
-
-    def correction_set(self, v: str) -> FrozenSet[str]:
-        return self.p[v]
-
-    def with_p(self, p: Mapping[str, FrozenSet[str]]) -> "PauliFlowData":
-        return PauliFlowData({v: frozenset(s) for v, s in p.items()}, self.order)
 
 
 FocussedSet = FrozenSet[str]
@@ -141,37 +227,33 @@ def _check_shape(graph: LabelledOpenGraph, flow: PauliFlowData) -> None:
             raise FlowFormatError(f"correction set of {v!r} leaves the graph")
 
 
+# PF4-PF9: label -> (condition, allowed (u in p(u), u in Odd(p(u))) pairs)
+_PF_SELF = {
+    "XY": ("PF4", {(False, True)}), "XZ": ("PF5", {(True, True)}),
+    "YZ": ("PF6", {(True, False)}), "X": ("PF7", {(False, True), (True, True)}),
+    "Z": ("PF8", {(True, False), (True, True)}), "Y": ("PF9", {(True, False), (False, True)}),
+}
+
+
 def verify_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> List[Tuple[str, str]]:
     """Return all (vertex, condition) violations of the nine flow conditions."""
     _check_shape(graph, flow)
     out: List[Tuple[str, str]] = []
     lab = graph.labels
+    before = flow.order.precedes
+    ys = [v for v in graph.measured if lab[v] == "Y"]
     for u in sorted(graph.measured):
         p = flow.p[u]
         odd = graph.odd_neighbourhood(p)
-        lu = lab[u]
-        if any(v != u and lab.get(v) not in ("X", "Y") and not flow.order.precedes(u, v) for v in p):
+        if any(v != u and lab.get(v) not in ("X", "Y") and not before(u, v) for v in p):
             out.append((u, "PF1"))
-        if any(v != u and lab.get(v) not in ("Y", "Z") and not flow.order.precedes(u, v) for v in odd):
+        if any(v != u and lab.get(v) not in ("Y", "Z") and not before(u, v) for v in odd):
             out.append((u, "PF2"))
-        for v in graph.measured:
-            if v != u and lab[v] == "Y" and not flow.order.precedes(u, v):
-                if (v in p) != (v in odd):
-                    out.append((u, "PF3"))
-                    break
-        in_p, in_odd = u in p, u in odd
-        if lu == "XY" and not (not in_p and in_odd):
-            out.append((u, "PF4"))
-        elif lu == "XZ" and not (in_p and in_odd):
-            out.append((u, "PF5"))
-        elif lu == "YZ" and not (in_p and not in_odd):
-            out.append((u, "PF6"))
-        elif lu == "X" and not in_odd:
-            out.append((u, "PF7"))
-        elif lu == "Z" and not in_p:
-            out.append((u, "PF8"))
-        elif lu == "Y" and not (in_p != in_odd):
-            out.append((u, "PF9"))
+        if any(v != u and not before(u, v) and (v in p) != (v in odd) for v in ys):
+            out.append((u, "PF3"))
+        condition, allowed = _PF_SELF[lab[u]]
+        if (u in p, u in odd) not in allowed:
+            out.append((u, condition))
     return out
 
 
@@ -182,16 +264,14 @@ class _Ctx:
     """Bit-mask view of a labelled open graph, for the GF(2) systems."""
 
     def __init__(self, graph: LabelledOpenGraph):
-        self.graph = graph
         self.verts = sorted(graph.vertices)
         self.idx = {v: i for i, v in enumerate(self.verts)}
         n = len(self.verts)
         self.full = (1 << n) - 1
-        self.adj = [0] * n
+        self.adj = [0] * n  # from the edges, so flow finding caches nothing on the graph
         for a, b in graph.edges:
-            ia, ib = self.idx[a], self.idx[b]
-            self.adj[ia] |= 1 << ib
-            self.adj[ib] |= 1 << ia
+            self.adj[self.idx[a]] |= 1 << self.idx[b]
+            self.adj[self.idx[b]] |= 1 << self.idx[a]
         self.inputs = self.mask(graph.inputs)
         self.outputs = self.mask(graph.outputs)
         self.lx = self.mask(v for v in graph.measured if graph.labels[v] == "X")
@@ -205,16 +285,7 @@ class _Ctx:
         return m
 
     def unmask(self, m: int) -> FrozenSet[str]:
-        return frozenset(self.verts[i] for i in _bits(m))
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        return frozenset(self.verts[i] for i in f2.bits(m))
 
 
 def _solve_witness(ctx: _Ctx, u: int, a_mask: int, plane: str) -> Optional[int]:
@@ -226,12 +297,12 @@ def _solve_witness(ctx: _Ctx, u: int, a_mask: int, plane: str) -> Optional[int]:
     k_univ = (a_mask | lxu | lyu) & ~ctx.inputs & ~ubit
     p_rows = ctx.full & ~(a_mask | lyu | lzu)
     y_rows = lyu & ~a_mask
-    cols = list(_bits(k_univ))
+    cols = list(f2.bits(k_univ))
     nbr = ctx.adj[u]
 
     rows: List[int] = []
     rhs: List[int] = []
-    for w in _bits(p_rows):
+    for w in f2.bits(p_rows):
         rows.append(_restrict(ctx.adj[w], cols))
         if plane == "XY":
             rhs.append(1 if w == u else 0)
@@ -239,7 +310,7 @@ def _solve_witness(ctx: _Ctx, u: int, a_mask: int, plane: str) -> Optional[int]:
             rhs.append(((nbr >> w) & 1) ^ (1 if w == u else 0))
         else:
             rhs.append((nbr >> w) & 1)
-    for w in _bits(y_rows):
+    for w in f2.bits(y_rows):
         rows.append(_restrict(ctx.adj[w] ^ (1 << w), cols))
         rhs.append(0 if plane == "XY" else (nbr >> w) & 1)
 
@@ -248,7 +319,7 @@ def _solve_witness(ctx: _Ctx, u: int, a_mask: int, plane: str) -> Optional[int]:
         return None
     x, _ = sol
     k = 0
-    for j in _bits(x):
+    for j in f2.bits(x):
         k |= 1 << cols[j]
     return k
 
@@ -311,35 +382,51 @@ def find_pauli_flow(graph: LabelledOpenGraph) -> Optional[PauliFlowData]:
 # -- focussing -------------------------------------------------------------
 
 
+def _unfocussed(graph: LabelledOpenGraph, members: Iterable[str],
+                odd: Optional[FrozenSet[str]] = None) -> set:
+    """Measured vertices the set is not focussed over (FOC1-FOC3); odd is
+    its odd neighbourhood, if already known."""
+    members = frozenset(members)
+    odd = graph.odd_neighbourhood(members) if odd is None else odd
+    lab = graph.labels
+    bad = {w for w in members if lab.get(w) in ("XZ", "YZ", "Z")}
+    bad.update(w for w in odd if lab.get(w) in ("XY", "X"))
+    bad.update(w for w in members ^ odd if lab.get(w) == "Y")
+    return bad
+
+
 def focussed_over_single(graph: LabelledOpenGraph, members: FrozenSet[str], w: str) -> bool:
-    lw = graph.labels.get(w)
-    if lw is None:
-        return True
-    in_m = w in members
-    in_odd = w in graph.odd_neighbourhood(members)
-    if in_m and lw in ("XZ", "YZ", "Z"):
-        return False
-    if in_odd and lw in ("XY", "X"):
-        return False
-    if lw == "Y" and in_m != in_odd:
-        return False
-    return True
+    return w not in _unfocussed(graph, members)
 
 
 def verify_focussed(graph: LabelledOpenGraph, members: Iterable[str],
                     over: Iterable[str]) -> bool:
     """FOC1-FOC3 for the member set over the given measured vertices."""
-    members = frozenset(members)
-    odd = graph.odd_neighbourhood(members)
-    for w in set(over) & graph.measured:
-        lw = graph.labels[w]
-        if w in members and lw in ("XZ", "YZ", "Z"):
-            return False
-        if w in odd and lw in ("XY", "X"):
-            return False
-        if lw == "Y" and (w in members) != (w in odd):
-            return False
-    return True
+    return _unfocussed(graph, members).isdisjoint(over)
+
+
+def focus_over(graph: LabelledOpenGraph, p: Mapping[str, FrozenSet[str]],
+               odd: Dict[str, FrozenSet[str]], order: Sequence[str],
+               v: str) -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
+    """Focus p[v] over the other vertices of order, in order, by adding the
+    correction set of each vertex it is not focussed over.
+
+    odd caches odd neighbourhoods of the sets in p and is filled on demand.
+    Returns the focussed set, its odd neighbourhood and the vertices whose
+    sets were added.
+    """
+    current = p[v]
+    cur_odd = graph.odd_neighbourhood(current)
+    bad = _unfocussed(graph, current, cur_odd)
+    fired = set()
+    for w in order:
+        if w != v and w in bad:
+            if w not in odd:
+                odd[w] = graph.odd_neighbourhood(p[w])
+            current, cur_odd = current ^ p[w], cur_odd ^ odd[w]
+            fired.add(w)
+            bad = _unfocussed(graph, current, cur_odd)
+    return current, cur_odd, frozenset(fired)
 
 
 def focus_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
@@ -353,18 +440,14 @@ def focus_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
         raise ValueError(f"cannot focus an invalid flow: {bad}")
     order = flow.order.temporal_order(graph.measured)
     p = {v: frozenset(s) for v, s in flow.p.items()}
+    odd: Dict[str, FrozenSet[str]] = {}
     for v in order:
-        for w in order:
-            if w != v and not focussed_over_single(graph, p[v], w):
-                p[v] = p[v] ^ p[w]
+        p[v], odd[v], _ = focus_over(graph, p, odd, order, v)
     return PauliFlowData(p, flow.order)
 
 
 def is_flow_focussed(graph: LabelledOpenGraph, flow: PauliFlowData) -> bool:
-    return all(
-        verify_focussed(graph, flow.p[v], graph.measured - {v})
-        for v in graph.measured
-    )
+    return all(_unfocussed(graph, flow.p[v]) <= {v} for v in graph.measured)
 
 
 # -- focussed set generators ------------------------------------------------
@@ -386,15 +469,16 @@ def focussed_set_generators(graph: LabelledOpenGraph) -> List[FocussedSet]:
         if v in graph.outputs or lab.get(v) in ("XY", "X", "Y")
     )
     col = {v: j for j, v in enumerate(variables)}
-    rows: List[int] = []
-    for w in sorted(graph.measured):
-        if lab[w] in ("XY", "X"):
-            rows.append(_row_over(graph, w, variables, include_self=False))
-    for w in sorted(graph.measured):
-        if lab[w] == "Y":
-            rows.append(_row_over(graph, w, variables, include_self=True))
+
+    def row(w: str, include_self: bool) -> int:
+        r = sum(1 << col[v] for v in graph.neighbours(w) if v in col)
+        return r ^ (1 << col[w]) if include_self and w in col else r
+
+    measured = sorted(graph.measured)
+    rows = [row(w, False) for w in measured if lab[w] in ("XY", "X")]
+    rows += [row(w, True) for w in measured if lab[w] == "Y"]
     basis = f2.null_space(f2.F2Matrix(rows, len(variables)))
-    gens = [frozenset(variables[j] for j in _bits(vec)) for vec in basis]
+    gens = [frozenset(variables[j] for j in f2.bits(vec)) for vec in basis]
     expected = len(graph.outputs) - len(graph.inputs)
     if len(gens) != expected:
         raise FocussedRankError(
@@ -404,18 +488,6 @@ def focussed_set_generators(graph: LabelledOpenGraph) -> List[FocussedSet]:
         if not verify_focussed(graph, g, graph.measured):
             raise FocussedRankError(f"generator {sorted(g)} is not focussed")
     return gens
-
-
-def _row_over(graph: LabelledOpenGraph, w: str, variables: List[str],
-              include_self: bool) -> int:
-    nbrs = graph.neighbours(w)
-    row = 0
-    for j, v in enumerate(variables):
-        bit = 1 if v in nbrs else 0
-        if include_self and v == w:
-            bit ^= 1
-        row |= bit << j
-    return row
 
 
 # -- flow surgery ------------------------------------------------------------
@@ -458,7 +530,5 @@ def paulis_first(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData
     if not is_flow_focussed(graph, flow):
         raise ValueError("paulis_first needs a focussed flow")
     pauli = {v for v in graph.measured if graph.labels[v] in PAULI_LABELS}
-    pairs = {
-        (a, b) for a, b in flow.order.as_pairs(graph.vertices) if b not in pauli
-    }
-    return PauliFlowData(dict(flow.p), FlowOrder.from_pairs(pairs))
+    order = flow.order.restricted(graph.vertices, targets=graph.vertices - pauli)
+    return PauliFlowData(dict(flow.p), order)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 PLANAR_LABELS = ("XY", "XZ", "YZ")
@@ -71,6 +72,15 @@ class LabelledOpenGraph:
         """Non-input vertices."""
         return self.vertices - self.inputs
 
+    @cached_property
+    def adjacency(self) -> Dict[str, Tuple[str, ...]]:
+        """Neighbours of every vertex, built once per graph; tuples keep it small."""
+        nbrs: Dict[str, list] = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return {v: tuple(ws) for v, ws in nbrs.items()}
+
     def label(self, v: str) -> Optional[str]:
         return self.labels.get(v)
 
@@ -81,12 +91,12 @@ class LabelledOpenGraph:
         return self.labels.get(v) in PAULI_LABELS
 
     def neighbours(self, v: str) -> FrozenSet[str]:
-        if v not in self.vertices:
-            raise KeyError(v)
-        return frozenset(w for a, b in self.edges for w in ((b,) if a == v else (a,) if b == v else ()))
+        return frozenset(self.adjacency[v])
 
     def adjacent(self, u: str, v: str) -> bool:
-        return edge(u, v) in self.edges
+        if u == v:
+            raise ValueError(f"self-loop on {u!r}")
+        return v in self.adjacency.get(u, ())
 
     def odd_neighbourhood(self, subset: Iterable[str]) -> FrozenSet[str]:
         """Vertices adjacent to an odd number of members of the subset."""
@@ -94,17 +104,16 @@ class LabelledOpenGraph:
         unknown = subset - self.vertices
         if unknown:
             raise KeyError(sorted(unknown)[0])
-        counts: Dict[str, int] = {}
-        for a, b in self.edges:
-            if b in subset:
-                counts[a] = counts.get(a, 0) ^ 1
-            if a in subset:
-                counts[b] = counts.get(b, 0) ^ 1
-        return frozenset(v for v, c in counts.items() if c)
+        adj = self.adjacency
+        odd: set = set()
+        for v in subset:
+            odd.symmetric_difference_update(adj[v])
+        return frozenset(odd)
 
     def edges_inside(self, subset: Iterable[str]) -> int:
         subset = frozenset(subset)
-        return sum(1 for a, b in self.edges if a in subset and b in subset)
+        adj = self.adjacency
+        return sum(w in subset for v in subset for w in adj.get(v, ())) // 2
 
     # -- structural operations (pure) -------------------------------------
 
@@ -203,6 +212,10 @@ class MeasurementPattern:
 
     def pauli_pi_vertices(self) -> FrozenSet[str]:
         """Pauli-measured vertices whose angle is an odd multiple of pi."""
+        return self._pauli_pi
+
+    @cached_property
+    def _pauli_pi(self) -> FrozenSet[str]:
         return frozenset(
             v for v in self.graph.measured
             if self.graph.is_pauli(v) and self.angles[v] % 2 == 1

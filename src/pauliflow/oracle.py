@@ -128,19 +128,8 @@ def pattern_semantics(pattern: MeasurementPattern, cap: Optional[int] = None) ->
     cap = qubit_cap() if cap is None else cap
     if len(g.vertices) > cap:
         raise QubitCapExceeded(f"{len(g.vertices)} qubits exceeds cap {cap}")
-    verts = sorted(g.vertices)
-    inputs = sorted(g.inputs)
-    # |+> on prepared vertices, identity wires on inputs.
-    mat = np.array([[1]], dtype=complex)
-    for v in verts:
-        if v in g.inputs:
-            mat = np.kron(mat, np.eye(2, dtype=complex))
-        else:
-            mat = np.kron(mat, _PLUS[:, None])
-    n = len(verts)
-    for a, b in sorted(g.edges):
-        mat = _apply_cz(mat, verts.index(a), verts.index(b), n)
-    live = list(verts)
+    mat = graph_state_matrix(pattern).matrix
+    live = sorted(g.vertices)
     for v in sorted(g.measured):
         bra = measurement_bra(g.labels[v], pattern.angles[v])
         axis = live.index(v)
@@ -149,15 +138,16 @@ def pattern_semantics(pattern: MeasurementPattern, cap: Optional[int] = None) ->
             2 ** (len(live) - 1), -1
         )
         live.remove(v)
-    outputs = tuple(live)  # sorted order inherited from verts
+    outputs = tuple(live)  # sorted order inherited from the vertices
     for tg in pattern.trailing:
         gate2 = _single_qubit_gate(tg.name, tg.angle)
         mat = _apply_on_wire(mat, gate2, live.index(tg.qubit), len(live))
-    return DenseMap(mat, tuple(inputs), outputs)
+    return DenseMap(mat, tuple(sorted(g.inputs)), outputs)
 
 
 def graph_state_matrix(pattern: MeasurementPattern) -> DenseMap:
-    """E_G N applied to nothing else: the entangled resource as a map."""
+    """E_G N applied to nothing else: the entangled resource as a map
+    (|+> on prepared vertices, identity wires on inputs)."""
     g = pattern.graph
     verts = sorted(g.vertices)
     mat = np.array([[1]], dtype=complex)
@@ -252,10 +242,6 @@ def equal_up_to_phase(a: DenseMap, b: DenseMap, tol: float = DEFAULT_TOL) -> boo
     if abs(scale) <= tol:
         return False
     return bool(np.max(np.abs(ma - scale * mb)) <= tol)
-
-
-def maps_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
-    return equal_up_to_phase(a, b, tol)
 
 
 def pauli_absorption_check(pattern: MeasurementPattern, u: str, p: str,

@@ -13,8 +13,10 @@ only defined up to global phase.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import f2
@@ -151,13 +153,6 @@ class IsometryTableau:
             and self.free_rows == other.free_rows
         )
 
-    def all_rows(self) -> List[SignedPauliString]:
-        return (
-            [self.z_rows[u] for u in self.inputs]
-            + [self.x_rows[u] for u in self.inputs]
-            + list(self.free_rows)
-        )
-
     # -- free actions -----------------------------------------------------
 
     def swap_free(self, i: int, j: int) -> "IsometryTableau":
@@ -175,27 +170,21 @@ class IsometryTableau:
     def multiply_free_into_input(self, src: int, input_id: str, which: str) -> "IsometryTableau":
         if which not in ("z", "x"):
             raise ValueError("which must be 'z' or 'x'")
-        row = self.free_rows[src]
-        if which == "z":
-            z = dict(self.z_rows)
-            z[input_id] = multiply(z[input_id], row)
-            return replace(self, z_rows=z)
-        x = dict(self.x_rows)
-        x[input_id] = multiply(x[input_id], row)
-        return replace(self, x_rows=x)
+        return self._times_input_row(input_id, which, self.free_rows[src])
 
     def multiply_input_by_string(self, input_id: str, which: str,
                                  string: SignedPauliString) -> "IsometryTableau":
         """Multiply an input row by a string from the free-row group."""
         if self.free_combo(string) is None:
             raise ValueError("string is not in the free-row group")
-        if which == "z":
-            z = dict(self.z_rows)
-            z[input_id] = multiply(z[input_id], string)
-            return replace(self, z_rows=z)
-        x = dict(self.x_rows)
-        x[input_id] = multiply(x[input_id], string)
-        return replace(self, x_rows=x)
+        return self._times_input_row(input_id, which, string)
+
+    def _times_input_row(self, input_id: str, which: str,
+                         string: SignedPauliString) -> "IsometryTableau":
+        field_name = "z_rows" if which == "z" else "x_rows"
+        rows = dict(getattr(self, field_name))
+        rows[input_id] = multiply(rows[input_id], string)
+        return replace(self, **{field_name: rows})
 
     def free_combo(self, string: SignedPauliString) -> Optional[Tuple[int, ...]]:
         """Indices of free rows whose exact signed product equals the string."""
@@ -254,32 +243,48 @@ class Pddag:
 
     # -- dependency structure ---------------------------------------------
 
+    @cached_property
+    def _order_masks(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(closed, Hasse) successor masks over node_ids positions.
+
+        An earlier node must stay before a later one iff their strings
+        anticommute, directly or through a chain.  Each node's closure is
+        built from the latest node back, taking its anticommuting successors
+        in list order; a successor not yet reached is exactly a Hasse edge.
+        """
+        pos = {q: k for k, q in enumerate(self.tableau.outputs)}
+        xz = [_xz_bits(self.nodes[nid].string, pos) for nid in self.node_ids]
+        n = len(xz)
+        closed = [0] * n
+        hasse = [0] * n
+        for i in range(n - 1, -1, -1):
+            xi, zi = xz[i]
+            todo = sum(1 << j for j in range(i + 1, n)
+                       if ((xi & xz[j][1]) ^ (zi & xz[j][0])).bit_count() & 1)
+            reach = edges = 0
+            while todo:
+                low = todo & -todo
+                edges |= low
+                reach |= low | closed[low.bit_length() - 1]
+                todo &= ~reach
+            closed[i], hasse[i] = reach, edges
+        return tuple(closed), tuple(hasse)
+
     def partial_order(self) -> FrozenSet[Tuple[str, str]]:
         """Closure of the anticommutation-forced orderings."""
-        ids = self.node_ids
-        direct = set()
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if not commutes(self.nodes[a].string, self.nodes[b].string):
-                    direct.add((a, b))
-        succ: Dict[str, set] = {a: set() for a in ids}
-        for a, b in direct:
-            succ[a].add(b)
-        for a in reversed(ids):
-            for b in list(succ[a]):
-                succ[a] |= succ[b]
-        return frozenset((a, b) for a, bs in succ.items() for b in bs)
+        return _mask_pairs(self.node_ids, self._order_masks[0])
 
     def hasse(self) -> FrozenSet[Tuple[str, str]]:
-        po = self.partial_order()
-        return frozenset(
-            (a, b) for a, b in po
-            if not any((a, c) in po and (c, b) in po for c in self.node_ids)
-        )
+        return _mask_pairs(self.node_ids, self._order_masks[1])
+
+    def _ancestor_mask(self, i: int) -> int:
+        return sum(1 << k for k, m in enumerate(self._order_masks[0]) if (m >> i) & 1)
 
     def ancestors(self, nid: str) -> FrozenSet[str]:
-        po = self.partial_order()
-        return frozenset(a for a, b in po if b == nid)
+        if nid not in self.nodes:
+            return frozenset()
+        i = self.node_ids.index(nid)
+        return frozenset(self.node_ids[k] for k in f2.bits(self._ancestor_mask(i)))
 
     def structurally_equal(self, other: "Pddag") -> bool:
         """Same tableau rows, same nodes per id, same canonical DAG."""
@@ -295,15 +300,14 @@ class Pddag:
 
     def merge_nodes(self, j: str, k: str) -> "Pddag":
         """Fold node k into node j; strings must agree up to sign."""
-        po = self.partial_order()
-        if (j, k) in po or (k, j) in po:
-            raise ValueError(f"nodes {j!r}, {k!r} are order-dependent")
+        if j in self.nodes and k in self.nodes:
+            pj, pk = self.node_ids.index(j), self.node_ids.index(k)
+            closed = self._order_masks[0]
+            if (closed[pj] >> pk) & 1 or (closed[pk] >> pj) & 1:
+                raise ValueError(f"nodes {j!r}, {k!r} are order-dependent")
         a, b = self.nodes[j], self.nodes[k]
-        if a.string == b.string:
-            angle = a.angle + b.angle
-        elif a.string == -b.string:
-            angle = a.angle - b.angle
-        else:
+        angle = _merged_angle(a, b)
+        if angle is None:
             raise ValueError(f"nodes {j!r}, {k!r} have different strings")
         nodes = {i: r for i, r in self.nodes.items() if i != k}
         ids = tuple(i for i in self.node_ids if i != k)
@@ -319,15 +323,8 @@ class Pddag:
         mover = self.nodes[nid]
         if not mover.is_clifford():
             raise ValueError(f"node {nid!r} has a non-Clifford angle")
-        pos = self.node_ids.index(nid)
-        nodes = {}
-        for i, other in enumerate(self.node_ids):
-            if other == nid:
-                continue
-            rot = self.nodes[other]
-            if i < pos:
-                rot = Rotation(reorder_push(mover, rot.string), rot.angle)
-            nodes[other] = rot
+        nodes = self._transported(mover, self.node_ids.index(nid), pull=False)
+        del nodes[nid]
         ids = tuple(i for i in self.node_ids if i != nid)
         return Pddag(self.tableau.conjugated(mover, pull=False), ids, nodes)
 
@@ -354,12 +351,7 @@ class Pddag:
             pos = len(self.node_ids) if destination == "end" else destination[1]
             if node_id is None or node_id in self.nodes:
                 raise ValueError("insert destination needs a fresh node id")
-            nodes = {}
-            for i, other in enumerate(self.node_ids):
-                rot = self.nodes[other]
-                if i < pos:
-                    rot = Rotation(reorder_pull(rotation, rot.string), rot.angle)
-                nodes[other] = rot
+            nodes = self._transported(rotation, pos, pull=True)
             nodes[node_id] = node_rotation(rotation.string, rotation.angle)
             ids = self.node_ids[:pos] + (node_id,) + self.node_ids[pos:]
             return Pddag(tableau, ids, nodes)
@@ -374,23 +366,21 @@ class Pddag:
             ]
             if blockers:
                 raise ValueError(f"anticommuting blockers {sorted(blockers)} before {target!r}")
-        nodes = {}
-        for i, other in enumerate(self.node_ids):
-            rot = self.nodes[other]
-            if i < pos:
-                rot = Rotation(reorder_pull(rotation, rot.string), rot.angle)
-            nodes[other] = rot
+        nodes = self._transported(rotation, pos, pull=True)
         dest_rot = nodes[target]
-        if dest_rot.string == rotation.string:
-            angle = dest_rot.angle + rotation.angle
-        elif dest_rot.string == -rotation.string:
-            angle = dest_rot.angle - rotation.angle
-        else:
+        angle = _merged_angle(dest_rot, rotation)
+        if angle is None:
             raise ValueError(
                 f"cannot merge {rotation.string} into node {target!r} carrying {dest_rot.string}"
             )
         nodes[target] = node_rotation(dest_rot.string, angle)
         return Pddag(tableau, self.node_ids, nodes)
+
+    def _transported(self, mover: Rotation, pos: int, pull: bool) -> Dict[str, Rotation]:
+        """The nodes, with the first pos conjugated as the mover crosses them."""
+        step = reorder_pull if pull else reorder_push
+        return {nid: Rotation(step(mover, self.nodes[nid].string), self.nodes[nid].angle)
+                if i < pos else self.nodes[nid] for i, nid in enumerate(self.node_ids)}
 
     def stabilizer_rewrite_by_string(self, nid: str, string: SignedPauliString) -> "Pddag":
         """Multiply a node's string by a stabilizer from the free-row group."""
@@ -410,14 +400,13 @@ class Pddag:
         nodes[nid] = new_rot
         # The rewritten node may newly anticommute with nodes it was
         # incomparable to; it must come before those, so relinearize.
-        po = self.partial_order()
-        extra = {
-            (nid, x) for x in self.node_ids
-            if x != nid and (x, nid) not in po and (nid, x) not in po
-            and not commutes(new_rot.string, self.nodes[x].string)
-        }
-        ids = _linearize(self.node_ids, po | extra)
-        return Pddag(self.tableau, ids, nodes)
+        i = self.node_ids.index(nid)
+        succ = list(self._order_masks[1])
+        comparable = self._order_masks[0][i] | self._ancestor_mask(i) | (1 << i)
+        for x, other in enumerate(self.node_ids):
+            if not (comparable >> x) & 1 and not commutes(new_rot.string, self.nodes[other].string):
+                succ[i] |= 1 << x
+        return Pddag(self.tableau, _linearize(self.node_ids, succ), nodes)
 
     def apply_stabilizer_rewrite(self, nid: str, free_index: int) -> "Pddag":
         return self.stabilizer_rewrite_by_string(nid, self.tableau.free_rows[free_index])
@@ -426,17 +415,42 @@ class Pddag:
         return Pddag(tableau, self.node_ids, dict(self.nodes))
 
 
-def _linearize(ids: Sequence[str], pairs) -> Tuple[str, ...]:
-    """Topological order consistent with pairs, preferring the given order."""
-    remaining = list(ids)
+def _merged_angle(a: Rotation, b: Rotation) -> Optional[Fraction]:
+    """Angle of b folded into a, or None if their strings differ beyond sign."""
+    if a.string == b.string:
+        return a.angle + b.angle
+    if a.string == -b.string:
+        return a.angle - b.angle
+    return None
+
+
+def _mask_pairs(ids: Sequence[str], succ: Sequence[int]) -> FrozenSet[Tuple[str, str]]:
+    return frozenset((ids[i], ids[j]) for i, m in enumerate(succ) for j in f2.bits(m))
+
+
+def _xz_bits(string: SignedPauliString, pos: Mapping) -> Tuple[int, int]:
+    """X and Z parts of a string as bit masks over the qubit positions."""
+    x = sum(1 << pos[q] for q, letter in string.letters.items() if letter != "Z")
+    z = sum(1 << pos[q] for q, letter in string.letters.items() if letter != "X")
+    return x, z
+
+
+def _linearize(ids: Sequence[str], succ: Sequence[int]) -> Tuple[str, ...]:
+    """Topological order of the successor masks, preferring list position
+    (Kahn's algorithm with a position heap)."""
+    waiting = [0] * len(ids)
+    for m in succ:
+        for j in f2.bits(m):
+            waiting[j] += 1
+    heap = [i for i, w in enumerate(waiting) if not w]
     out: List[str] = []
-    while remaining:
-        pick = next(
-            v for v in remaining
-            if not any((w, v) in pairs for w in remaining if w != v)
-        )
-        out.append(pick)
-        remaining.remove(pick)
+    while heap:
+        i = heapq.heappop(heap)
+        out.append(ids[i])
+        for j in f2.bits(succ[i]):
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(heap, j)
     return tuple(out)
 
 
@@ -444,17 +458,15 @@ def build_pddag(tableau: IsometryTableau, ordered_nodes: Sequence[Tuple[str, Rot
     return Pddag(tableau, tuple(i for i, _ in ordered_nodes), dict(ordered_nodes))
 
 
-def build_deps(ordered_nodes: Sequence[Tuple[str, Rotation]]) -> FrozenSet[Tuple[str, str]]:
-    """Hasse diagram of the anticommutation order of a rotation list."""
-    outputs = set()
-    for _, rot in ordered_nodes:
-        outputs |= set(rot.string.letters)
-    wires = sorted(outputs, key=str)
-    tab = identity_tableau(wires) if wires else IsometryTableau((), (), {}, {}, ())
-    return build_pddag(tab, ordered_nodes).hasse()
-
-
 # -- synthesis ----------------------------------------------------------------
+
+
+GATE_ROTATIONS = {  # single-qubit Clifford gates as rotations
+    "S": lambda q: [Rotation(single(q, "Z"), Fraction(-1, 2))],
+    "Sdg": lambda q: [Rotation(single(q, "Z"), Fraction(1, 2))],
+    "X": lambda q: [Rotation(single(q, "X"), 1)],
+    "Z": lambda q: [Rotation(single(q, "Z"), 1)],
+}
 
 
 def circuit_to_rotations(circuit: Circuit) -> List[Rotation]:
@@ -465,14 +477,8 @@ def circuit_to_rotations(circuit: Circuit) -> List[Rotation]:
             raise ValueError("initializations are not rotations")
         if gate.name == "EXP":
             rots = [Rotation(gate.string, gate.angle)]
-        elif gate.name == "S":
-            rots = [Rotation(single(gate.qubits[0], "Z"), Fraction(-1, 2))]
-        elif gate.name == "Sdg":
-            rots = [Rotation(single(gate.qubits[0], "Z"), Fraction(1, 2))]
-        elif gate.name == "X":
-            rots = [Rotation(single(gate.qubits[0], "X"), 1)]
-        elif gate.name == "Z":
-            rots = [Rotation(single(gate.qubits[0], "Z"), 1)]
+        elif gate.name in GATE_ROTATIONS:
+            rots = GATE_ROTATIONS[gate.name](gate.qubits[0])
         else:
             rots = list(reversed(gate_to_exponentials(gate.name, gate.qubits, gate.angle)))
         out.extend(r for r in rots if r.angle % 2 != 0 and not r.string.is_identity_string())
@@ -519,13 +525,7 @@ def canonicalize_angles(dag: Pddag) -> Pddag:
         rot = dag.nodes[target]
         residue = rot.angle % HALF
         mover = Rotation(rot.string, rot.angle - residue)
-        pos = dag.node_ids.index(target)
-        nodes = {}
-        for i, other in enumerate(dag.node_ids):
-            r = dag.nodes[other]
-            if i < pos:
-                r = Rotation(reorder_push(mover, r.string), r.angle)
-            nodes[other] = r
+        nodes = dag._transported(mover, dag.node_ids.index(target), pull=False)
         if residue == 0:
             nodes.pop(target)
             ids = tuple(i for i in dag.node_ids if i != target)
@@ -533,17 +533,6 @@ def canonicalize_angles(dag: Pddag) -> Pddag:
             nodes[target] = node_rotation(rot.string, residue)
             ids = dag.node_ids
         dag = Pddag(dag.tableau.conjugated(mover, pull=False), ids, nodes)
-
-
-def _string_to_bits(row: SignedPauliString, outputs: Sequence[str]) -> Tuple[int, int]:
-    x = z = 0
-    for i, q in enumerate(outputs):
-        l = row.letter(q)
-        if l in ("X", "Y"):
-            x |= 1 << i
-        if l in ("Z", "Y"):
-            z |= 1 << i
-    return x, z
 
 
 def _bits_to_string(x: int, z: int, sign: int = 1) -> SignedPauliString:
@@ -600,19 +589,9 @@ def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], Li
     return z_out, x_out
 
 
-_CONJ_ROTS = {
-    "S": lambda q: [Rotation(single(q, "Z"), Fraction(-1, 2))],
-    "Sdg": lambda q: [Rotation(single(q, "Z"), Fraction(1, 2))],
-    "X": lambda q: [Rotation(single(q, "X"), 1)],
-    "Z": lambda q: [Rotation(single(q, "Z"), 1)],
-}
-
-
 def _conj_gate(name: str, qubits: Tuple[int, ...], s: SignedPauliString) -> SignedPauliString:
-    if name in _CONJ_ROTS:
-        rots = _CONJ_ROTS[name](qubits[0])
-    else:
-        rots = gate_to_exponentials(name, qubits)
+    rots = GATE_ROTATIONS[name](qubits[0]) if name in GATE_ROTATIONS \
+        else gate_to_exponentials(name, qubits)
     for rot in reversed(rots):
         s = reorder_push(rot, s)
     return s

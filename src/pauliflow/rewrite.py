@@ -20,7 +20,6 @@ from .extract import (
     trailing_node_id,
 )
 from .flow import (
-    FlowOrder,
     FocussedSet,
     PauliFlowData,
     is_flow_focussed,
@@ -95,22 +94,15 @@ def relabel_pauli(pattern: MeasurementPattern, flow: PauliFlowData,
     angles[u] = update(alpha) % 2
     pattern2 = pattern.with_graph(g.relabel(u, label), angles=angles)
 
-    p = dict(flow.p)
-    if quarter:
-        for v in g.measured:
-            if v != u and u in (p[v] | g.odd_neighbourhood(p[v])):
-                p[v] = p[v] ^ flow.p[u]
-    flow2 = PauliFlowData(p, flow.order)
-    fsets2 = tuple(
-        fs ^ flow.p[u] if quarter and u in (fs | g.odd_neighbourhood(fs)) else fs
-        for fs in fsets
-    )
+    def shifted(s):
+        # a quarter turn adds p(u) to every set with u in it or its odd neighbourhood
+        return s ^ flow.p[u] if quarter and u in (s | g.odd_neighbourhood(s)) else s
 
+    flow2 = PauliFlowData({v: s if v == u else shifted(s) for v, s in flow.p.items()},
+                          flow.order)
+    fsets2 = tuple(shifted(fs) for fs in fsets)
     base = extract_pddag(pattern, flow, fsets)
-    ext2 = {
-        w: s ^ flow.p[u] if quarter and u in (s | g.odd_neighbourhood(s)) else s
-        for w, s in base.tableau.x_corrections.items()
-    }
+    ext2 = {w: shifted(s) for w, s in base.tableau.x_corrections.items()}
     sim = base.push_clifford_front(u) if u in base.nodes else base
     return RewriteReport(
         pattern2, flow2, fsets2,
@@ -153,12 +145,8 @@ def eliminate_z(pattern: MeasurementPattern, flow: PauliFlowData,
     trailing = new_gates + list(pattern.trailing)
     pattern2 = pattern.with_graph(g.remove_vertex(u), angles=angles, trailing=trailing)
 
-    p = {}
-    for v in g.measured:
-        if v == u:
-            continue
-        p[v] = flow.p[v] ^ flow.p[u] if u in flow.p[v] else flow.p[v]
-    flow2 = PauliFlowData(p, _order_without(flow.order, pattern2.graph.vertices))
+    p = {v: s ^ flow.p[u] if u in s else s for v, s in flow.p.items() if v != u}
+    flow2 = PauliFlowData(p, flow.order.restricted(pattern2.graph.vertices))
     fsets2 = tuple(fsets)
 
     base = extract_pddag(pattern, flow, fsets)
@@ -181,12 +169,6 @@ def eliminate_z(pattern: MeasurementPattern, flow: PauliFlowData,
         pattern2, flow2, fsets2,
         extract_pddag(pattern2, flow2, fsets2, extension_sets=ext2), sim,
     )
-
-
-def _order_without(order: FlowOrder, vertices) -> FlowOrder:
-    if order.depth is not None:
-        return FlowOrder.from_depth({v: d for v, d in order.depth.items() if v in vertices})
-    return FlowOrder.from_pairs(order.as_pairs(vertices))
 
 
 # -- local complementation --------------------------------------------------------
@@ -254,41 +236,28 @@ def _lc_updates(pattern: MeasurementPattern, flow: PauliFlowData,
     pattern2 = pattern.with_graph(graph2, angles=angles, trailing=trailing)
 
     # Flow and focussed-set updates, computed from the original graph in
-    # emission order so referenced later sets are already rebuilt.
-    def qualifies(w, members, odd, skip):
-        if w == skip or w not in g.measured or w not in (members | odd):
-            return False
-        if w == u:
-            return g.is_planar(u)
-        return w in nbrs and g.labels[w] == "XY"
+    # emission order so referenced later sets are already rebuilt: a set
+    # adds the new set of u (if planar) and of each XY neighbour of u that
+    # lies in it or in its odd neighbourhood.
+    sources = [w for w in nbrs | {u} if w in g.measured
+               and (g.is_planar(u) if w == u else g.labels[w] == "XY")]
+
+    def updated(members, skip=None):
+        members = frozenset(members)
+        odd = g.odd_neighbourhood(members)
+        new = members ^ {u} if u in odd else members
+        for w in sources:
+            if w != skip and (w in members or w in odd):
+                new = new ^ p2[w]
+        return new
 
     p2: Dict[str, FrozenSet[str]] = {}
     for v in flow.order.emission_order(g.measured):
-        members = flow.p[v]
-        odd = g.odd_neighbourhood(members)
-        new = members ^ {u} if u in odd else members
-        for w in g.measured:
-            if qualifies(w, members, odd, skip=v):
-                new = new ^ p2[w]
-        p2[v] = new
-    fsets2 = []
-    for fs in fsets:
-        odd = g.odd_neighbourhood(fs)
-        new = fs ^ {u} if u in odd else frozenset(fs)
-        for w in g.measured:
-            if qualifies(w, fs, odd, skip=None):
-                new = new ^ p2[w]
-        fsets2.append(new)
+        p2[v] = updated(flow.p[v], skip=v)
+    fsets2 = [updated(fs) for fs in fsets]
     # extension vertices follow the same update as the focussed sets (they
     # are measured vertices of the extended graph, never adjacent to u)
-    ext2 = {}
-    for win, s in (ext or {}).items():
-        odd = g.odd_neighbourhood(s)
-        new = s ^ {u} if u in odd else frozenset(s)
-        for w in g.measured:
-            if qualifies(w, s, odd, skip=None):
-                new = new ^ p2[w]
-        ext2[win] = new
+    ext2 = {w: updated(s) for w, s in (ext or {}).items()}
     flow2 = PauliFlowData(p2, flow.order)
     return pattern2, flow2, tuple(fsets2), ext2
 
@@ -298,23 +267,14 @@ def _lc_sim(dag: Pddag, pattern: MeasurementPattern, flow: PauliFlowData,
             u: str, direction: int) -> Pddag:
     g = pattern.graph
     nbrs = g.neighbours(u)
-    out_nbrs = sorted(nbrs & g.outputs)
-    n_new = len(out_nbrs) + (1 if u in g.outputs else 0)
-    total = n_new + len(pattern.trailing)
-    pos = _first_trailing_pos(dag)
-    idx = 0
-    for w in out_nbrs:
-        dag = dag.pull_from_tableau(
-            Rotation(single(w, "Z"), direction * HALF), ("insert", pos + idx),
-            provenance="pattern", node_id=trailing_node_id(total, idx),
-        )
-        idx += 1
+    new = [Rotation(single(w, "Z"), direction * HALF) for w in sorted(nbrs & g.outputs)]
     if u in g.outputs:
-        dag = dag.pull_from_tableau(
-            Rotation(single(u, "X"), -direction * HALF), ("insert", pos + idx),
-            provenance="pattern", node_id=trailing_node_id(total, idx),
-        )
-        idx += 1
+        new.append(Rotation(single(u, "X"), -direction * HALF))
+    total = len(new) + len(pattern.trailing)
+    pos = _first_trailing_pos(dag)
+    for idx, rot in enumerate(new):
+        dag = dag.pull_from_tableau(rot, ("insert", pos + idx), provenance="pattern",
+                                    node_id=trailing_node_id(total, idx))
     for w in flow.order.emission_order(g.measured):
         is_target = (w == u and g.is_planar(u)) or (w in nbrs and g.labels.get(w) == "XY")
         if not is_target or w not in dag.nodes:

@@ -189,6 +189,50 @@ def test_verify_equal_different(tmp_path, capsys):
     assert code == 1 and json.loads(out)["equal"] is False
 
 
+def test_verify_equal_rejects_out_of_range_qubit(tmp_path, capsys):
+    # a CX on a wire the circuit does not have used to compare "equal" to
+    # the empty circuit
+    bad = write(tmp_path, "bad.json",
+                {"wires": 2, "gates": [{"gate": "CX", "qubits": [0, 5]}]})
+    empty = write(tmp_path, "empty.json", {"wires": 2, "gates": []})
+    code, out, err = run_cli(capsys, "verify-equal", bad, empty)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "schema" and error["path"] == "/gates/0/qubits"
+
+
+@pytest.mark.parametrize("gates, path", [
+    ([{"gate": "CX", "qubits": [1, 1]}], "/gates/0/qubits"),
+    ([{"gate": "H", "qubits": [0, 1]}], "/gates/0/qubits"),
+    ([{"gate": "CZ", "qubits": [0]}], "/gates/0/qubits"),
+    ([{"gate": "X", "qubits": [-1]}], "/gates/0/qubits"),
+    ([{"gate": "RZ", "qubits": [0]}], "/gates/0"),
+])
+def test_parse_circuit_rejects_malformed_gates(gates, path):
+    from pauliflow.cli import parse_circuit
+
+    with pytest.raises(SchemaError) as err:
+        parse_circuit({"wires": 2, "gates": gates})
+    assert err.value.path == path
+
+
+def test_rewrite_unknown_vertex_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "p.json", worked_doc())
+    code, out, err = run_cli(capsys, "rewrite", "lc", path, "--at", "nosuch")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "schema" and error["path"] == "--at"
+
+
+def test_rewrite_fset_index_out_of_range_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "p.json", worked_doc())
+    code, out, err = run_cli(capsys, "rewrite", "switch", path, "--at", "b",
+                             "--fset-index", "9")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "schema" and error["path"] == "--fset-index"
+
+
 def test_rewrite_cli(tmp_path, capsys):
     doc = worked_doc(alpha_c=F(1, 2))
     path = write(tmp_path, "p.json", doc)
