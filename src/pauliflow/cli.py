@@ -19,7 +19,7 @@ from . import flow as flow_mod
 from . import oracle as oracle_mod
 from . import rewrite as rewrite_mod
 from .graph import ALL_LABELS, LabelledOpenGraph, MeasurementPattern, TrailingGate
-from .pauli import Rotation, SignedPauliString, parse_string
+from .pauli import Rotation, parse_string
 from .pddag import Circuit, Gate, GATE_NAMES, IsometryTableau, Pddag, synthesize
 
 DOC_VERSION = "1"
@@ -156,6 +156,9 @@ def parse_flow(obj, path: str, vertices=()) -> flow_mod.PauliFlowData:
     _expect_keys(obj, ["p", "depth", "order"], ["p"], path)
     if ("depth" in obj) == ("order" in obj):
         raise SchemaError(path, "exactly one of depth/order required")
+    for key, kind in (("p", dict), ("depth", dict), ("order", list)):
+        if key in obj and not isinstance(obj[key], kind):
+            raise SchemaError(f"{path}/{key}", f"expected {'a list' if kind is list else 'an object'}")
     p = {
         v: frozenset(_str_list(s, f"{path}/p/{v}"))
         for v, s in obj["p"].items()
@@ -237,28 +240,54 @@ def pddag_json(dag: Pddag) -> dict:
     }
 
 
+def _pauli(text, path: str):
+    if not isinstance(text, str):
+        raise SchemaError(path, "expected a Pauli string")
+    try:
+        return parse_string(text)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc))
+
+
 def parse_pddag(doc) -> Pddag:
+    """Parse and validate; a document the tableau or the Pddag rejects
+    (commuting Z/X rows, duplicate node ids, ...) is a schema error."""
     _expect_keys(doc, ["tableau", "nodes", "deps"], ["tableau", "nodes"], "")
     tab = doc["tableau"]
     _expect_keys(tab, ["outputs", "inputs", "free"], ["outputs", "inputs", "free"],
                  "/tableau")
     outputs = _str_list(tab["outputs"], "/tableau/outputs")
+    for key in ("inputs", "free"):
+        if not isinstance(tab[key], list):
+            raise SchemaError(f"/tableau/{key}", "expected a list")
+    if not isinstance(doc["nodes"], list):
+        raise SchemaError("/nodes", "expected a list")
     z_rows, x_rows, inputs = {}, {}, []
     for i, row in enumerate(tab["inputs"]):
-        _expect_keys(row, ["id", "z", "x"], ["id", "z", "x"], f"/tableau/inputs/{i}")
+        path = f"/tableau/inputs/{i}"
+        _expect_keys(row, ["id", "z", "x"], ["id", "z", "x"], path)
+        if not isinstance(row["id"], str):
+            raise SchemaError(f"{path}/id", "expected a string")
         inputs.append(row["id"])
-        z_rows[row["id"]] = parse_string(row["z"])
-        x_rows[row["id"]] = parse_string(row["x"])
-    free = tuple(parse_string(s) for s in tab["free"])
-    tableau = IsometryTableau(tuple(inputs), tuple(outputs), z_rows, x_rows, free)
-    ids, nodes = [], {}
+        z_rows[row["id"]] = _pauli(row["z"], f"{path}/z")
+        x_rows[row["id"]] = _pauli(row["x"], f"{path}/x")
+    free = tuple(_pauli(s, f"/tableau/free/{i}") for i, s in enumerate(tab["free"]))
+    ids, rotations = [], []
     for i, node in enumerate(doc["nodes"]):
         _expect_keys(node, ["id", "string", "angle"], ["string", "angle"], f"/nodes/{i}")
-        nid = node.get("id", f"n{i}")
-        ids.append(nid)
-        nodes[nid] = Rotation(parse_string(node["string"]),
-                              parse_angle(node["angle"], f"/nodes/{i}/angle"))
-    return Pddag(tableau, tuple(ids), nodes)
+        ids.append(node.get("id", f"n{i}"))
+        if not isinstance(ids[-1], str):
+            raise SchemaError(f"/nodes/{i}/id", "expected a string")
+        rotations.append((_pauli(node["string"], f"/nodes/{i}/string"),
+                          parse_angle(node["angle"], f"/nodes/{i}/angle")))
+    try:
+        tableau = IsometryTableau(tuple(inputs), tuple(outputs), z_rows, x_rows, free)
+    except ValueError as exc:
+        raise SchemaError("/tableau", str(exc))
+    try:
+        return Pddag(tableau, tuple(ids), {nid: Rotation(*r) for nid, r in zip(ids, rotations)})
+    except ValueError as exc:
+        raise SchemaError("/nodes", str(exc))
 
 
 def circuit_json(circuit: Circuit) -> dict:
@@ -268,7 +297,7 @@ def circuit_json(circuit: Circuit) -> dict:
         if g.angle is not None:
             entry["angle"] = angle_json(g.angle)
         if g.string is not None:
-            entry["string"] = g.string.format(sorted(g.string.letters))
+            entry["string"] = g.string.format(sorted(g.string.support))
         gates.append(entry)
     return {"wires": circuit.n_wires, "gates": gates}
 
@@ -298,11 +327,10 @@ def parse_circuit(doc) -> Circuit:
         angle = parse_angle(g["angle"], f"{path}/angle") if "angle" in g else None
         string = None
         if "string" in g:
-            raw = parse_string(g["string"])
-            if not all(q.isdigit() and int(q) in qubits for q in raw.letters):
+            raw = _pauli(g["string"], f"{path}/string")
+            if not all(q.isdigit() and int(q) in qubits for q in raw.support):
                 raise SchemaError(f"{path}/string", "string leaves the gate's wires")
-            string = SignedPauliString(
-                {int(q): l for q, l in raw.letters.items()}, raw.phase_pow)
+            string = raw.relabelled({q: int(q) for q in raw.support})
         gates.append(Gate(name, tuple(qubits), angle, string))
     return Circuit(wires, tuple(gates))
 
@@ -316,7 +344,10 @@ def dumps(doc) -> str:
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SchemaError("", "a document must be a JSON object")
+    return doc
 
 
 def _emit(doc) -> None:
@@ -487,6 +518,8 @@ def random_flowful_document(n_vertices: int, seed: int, attempts: int = 20000) -
 
 
 def cmd_gen(args) -> int:
+    if args.vertices < 1:
+        raise SchemaError("--vertices", "need at least one vertex")
     _emit(random_flowful_document(args.vertices, args.seed))
     return 0
 
@@ -555,6 +588,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 1
     except SchemaError as exc:
         sys.stderr.write(dumps({"error": "schema", "path": exc.path, "message": str(exc)}))
+        return 2
+    except flow_mod.FlowFormatError as exc:
+        sys.stderr.write(dumps({"error": "schema", "path": "/flow", "message": str(exc)}))
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(dumps({"error": "io", "message": str(exc)}))

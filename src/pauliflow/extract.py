@@ -27,10 +27,8 @@ from .flow import (
     verify_focussed,
 )
 from .graph import LabelledOpenGraph, MeasurementPattern, TrailingGate
-from .pauli import Rotation, SignedPauliString, single
-from .pddag import (
-    GATE_ROTATIONS, Circuit, IsometryTableau, Pddag, build_pddag, node_rotation, synthesize,
-)
+from .pauli import GATE_ROTATIONS, Rotation, SignedPauliString, single
+from .pddag import Circuit, IsometryTableau, Pddag, build_pddag, node_rotation, synthesize
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,8 @@ def extraction_string(pattern: MeasurementPattern, flow_or_fset, v: Optional[str
         raise ValueError("correction set overlaps its odd neighbourhood oddly")
     pauli_pi = pattern.pauli_pi_vertices() - {v}
     c = g.edges_inside(members) + len(overlap) // 2 + len((members | odd) & pauli_pi)
-    letters = {q: _AXIS[q in members, q in odd] for q in g.outputs if q in members or q in odd}
-    return ExtractionString(axis, SignedPauliString(letters, 2 * (c % 2)))
+    string = SignedPauliString.from_xz(members & g.outputs, odd & g.outputs, 2 * (c % 2))
+    return ExtractionString(axis, string)
 
 
 # -- input extension ------------------------------------------------------------
@@ -195,21 +193,9 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
 
 def trailing_rotations(gate: TrailingGate) -> List[Rotation]:
     """Trailing single-qubit gate as end-of-circuit rotations, temporal order."""
-    q = gate.qubit
-    if gate.name in GATE_ROTATIONS:
-        return GATE_ROTATIONS[gate.name](q)
-    if gate.name == "RZ":
-        return [Rotation(single(q, "Z"), -gate.angle)]
-    if gate.name == "RX":
-        return [Rotation(single(q, "X"), -gate.angle)]
-    if gate.name == "H":
-        h = Fraction(-1, 2)
-        return [
-            Rotation(single(q, "Z"), h),
-            Rotation(single(q, "X"), h),
-            Rotation(single(q, "Z"), h),
-        ]
-    raise ValueError(f"unsupported trailing gate {gate.name!r}")
+    if gate.name not in GATE_ROTATIONS:
+        raise ValueError(f"unsupported trailing gate {gate.name!r}")
+    return GATE_ROTATIONS[gate.name](gate.qubit, gate.angle)
 
 
 TRAIL_PREFIX = "t:"

@@ -1,65 +1,95 @@
 """Exact algebra of signed Pauli strings and Pauli-exponential rotations.
 
-Strings are tensor products of {I, X, Y, Z} over *named* qubits (graph
-vertices or wire indices) with a global phase in {+1, -1, +i, -i}, stored
-as a power of i.  Rotations ``(A, theta)`` denote the operator
-``exp(i * theta/2 * A)``; angles are exact rational multiples of pi.
+A string is kept in symplectic form, as in Aaronson & Gottesman, *Improved
+simulation of stabilizer circuits* (2004): ``x`` is the set of qubits that
+carry X or Y, ``z`` the set that carry Z or Y, and ``phase_pow`` is the
+power of i in front of the letters (Y is one letter, not iXZ).  Qubits are
+any hashable ids: graph vertices, wire indices or test names.  Products
+and commutation are set algebra, and ``bits`` is the one place a string
+becomes bit masks.  Letters appear only at the edges: the letter-map
+constructor, ``letters``/``letter``, ``format`` and ``parse_string``.
+
+Rotations ``(A, theta)`` denote the operator ``exp(i * theta/2 * A)``;
+angles are exact rational multiples of pi.  ``GATE_ROTATIONS`` is the one
+table from named gates to rotations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 LETTERS = ("I", "X", "Y", "Z")
-
-# (p, q) -> (r, k) with P*Q = i^k * R for single-qubit Paulis.
-_MUL = {
-    ("X", "X"): ("I", 0), ("Y", "Y"): ("I", 0), ("Z", "Z"): ("I", 0),
-    ("X", "Y"): ("Z", 1), ("Y", "X"): ("Z", 3),
-    ("Y", "Z"): ("X", 1), ("Z", "Y"): ("X", 3),
-    ("Z", "X"): ("Y", 1), ("X", "Z"): ("Y", 3),
-}
 
 _PHASE_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PHASE_VAL = {0: 1, 1: 1j, 2: -1, 3: -1j}
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class SignedPauliString:
     """A Pauli tensor with a global phase i^phase_pow.
 
-    ``letters`` maps qubit ids to non-identity letters; qubits absent from
-    the map carry I.  Values are immutable.
+    X on ``x - z``, Y on ``x & z``, Z on ``z - x`` and I on every other
+    qubit.  ``SignedPauliString(letters, phase_pow)`` builds one from a map
+    of qubit ids to letters.  Values are immutable.
     """
 
-    letters: Mapping[str, str] = field(default_factory=dict)
-    phase_pow: int = 0
+    __slots__ = ("x", "z", "phase_pow")
 
-    def __post_init__(self):
-        clean = {q: l for q, l in self.letters.items() if l != "I"}
-        for q, l in clean.items():
-            if l not in ("X", "Y", "Z"):
+    def __init__(self, letters: Optional[Mapping] = None, phase_pow: int = 0):
+        x, z = set(), set()
+        for q, l in (letters or {}).items():
+            if l not in LETTERS:
                 raise ValueError(f"bad Pauli letter {l!r} on qubit {q!r}")
-        object.__setattr__(self, "letters", clean)
-        object.__setattr__(self, "phase_pow", self.phase_pow % 4)
+            if l in ("X", "Y"):
+                x.add(q)
+            if l in ("Z", "Y"):
+                z.add(q)
+        _set(self, "x", frozenset(x))
+        _set(self, "z", frozenset(z))
+        _set(self, "phase_pow", phase_pow % 4)
+
+    @staticmethod
+    def from_xz(x, z, phase_pow: int = 0) -> "SignedPauliString":
+        """The string with X part ``x`` and Z part ``z`` (qubit id sets)."""
+        s = object.__new__(SignedPauliString)
+        _set(s, "x", frozenset(x))
+        _set(s, "z", frozenset(z))
+        _set(s, "phase_pow", phase_pow % 4)
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SignedPauliString is immutable")
+
+    def __reduce__(self):
+        return SignedPauliString.from_xz, (self.x, self.z, self.phase_pow)
 
     # -- basic views ---------------------------------------------------
 
     @property
+    def letters(self) -> dict:
+        """Qubit id -> non-identity letter (a fresh dict)."""
+        out = {q: "Z" for q in self.z - self.x}
+        out.update((q, "Y" if q in self.z else "X") for q in self.x)
+        return out
+
+    @property
     def support(self) -> frozenset:
-        return frozenset(self.letters)
+        return self.x | self.z
 
     @property
     def phase(self) -> complex:
         return _PHASE_VAL[self.phase_pow]
 
     def letter(self, qubit) -> str:
-        return self.letters.get(qubit, "I")
+        if qubit in self.x:
+            return "Y" if qubit in self.z else "X"
+        return "Z" if qubit in self.z else "I"
 
     def is_identity_string(self) -> bool:
-        return not self.letters
+        return not (self.x or self.z)
 
     def is_hermitian(self) -> bool:
         return self.phase_pow in (0, 2)
@@ -72,33 +102,51 @@ class SignedPauliString:
         return 1 if self.phase_pow == 0 else -1
 
     def unsigned(self) -> "SignedPauliString":
-        return SignedPauliString(self.letters, 0)
+        return self.from_xz(self.x, self.z, 0)
 
     def __neg__(self) -> "SignedPauliString":
-        return SignedPauliString(self.letters, self.phase_pow + 2)
+        return self.from_xz(self.x, self.z, self.phase_pow + 2)
 
     def times_i(self) -> "SignedPauliString":
-        return SignedPauliString(self.letters, self.phase_pow + 1)
+        return self.from_xz(self.x, self.z, self.phase_pow + 1)
 
     def __hash__(self):
-        return hash((frozenset(self.letters.items()), self.phase_pow))
+        return hash((self.x, self.z, self.phase_pow))
 
     def __eq__(self, other):
         if not isinstance(other, SignedPauliString):
             return NotImplemented
-        return self.letters == other.letters and self.phase_pow == other.phase_pow
+        return self.x == other.x and self.z == other.z and self.phase_pow == other.phase_pow
 
     def __mul__(self, other: "SignedPauliString") -> "SignedPauliString":
         return multiply(self, other)
+
+    def __repr__(self):
+        return f"SignedPauliString({self.letters!r}, {self.phase_pow})"
+
+    # -- bits and relabelling --------------------------------------------
+
+    def bits(self, pos: Mapping) -> Tuple[int, int]:
+        """(X mask, Z mask) with qubit q at bit ``pos[q]``."""
+        x = z = 0
+        for q in self.x:
+            x |= 1 << pos[q]
+        for q in self.z:
+            z |= 1 << pos[q]
+        return x, z
+
+    def relabelled(self, mapping: Mapping) -> "SignedPauliString":
+        """The same string with qubit q renamed to ``mapping[q]``."""
+        return self.from_xz((mapping[q] for q in self.x), (mapping[q] for q in self.z),
+                            self.phase_pow)
 
     # -- formatting ----------------------------------------------------
 
     def format(self, qubit_order: Optional[Sequence] = None) -> str:
         """Serialize as e.g. ``-iX(a)Z(o1)``; identity is ``I``."""
-        qubits = qubit_order if qubit_order is not None else sorted(self.letters, key=str)
-        body = "".join(
-            f"{self.letters[q]}({q})" for q in qubits if q in self.letters
-        )
+        support = self.support
+        qubits = qubit_order if qubit_order is not None else sorted(support, key=str)
+        body = "".join(f"{self.letter(q)}({q})" for q in qubits if q in support)
         return _PHASE_STR[self.phase_pow] + (body or "I")
 
     def __str__(self):
@@ -110,7 +158,7 @@ class SignedPauliString:
 
 
 def identity_string() -> SignedPauliString:
-    return SignedPauliString({}, 0)
+    return SignedPauliString.from_xz((), ())
 
 
 def single(qubit, letter: str, sign: int = 1) -> SignedPauliString:
@@ -122,30 +170,21 @@ def from_letter_map(letters: Mapping, sign: int = 1) -> SignedPauliString:
 
 
 def multiply(a: SignedPauliString, b: SignedPauliString) -> SignedPauliString:
-    """Exact group product; qubits missing from either factor act as I."""
-    letters = dict(a.letters)
-    k = a.phase_pow + b.phase_pow
-    for q, lb in b.letters.items():
-        la = letters.pop(q, "I")
-        if la == "I":
-            letters[q] = lb
-        else:
-            r, dk = _MUL[(la, lb)]
-            k += dk
-            if r != "I":
-                letters[q] = r
-    return SignedPauliString(letters, k)
+    """Exact group product; qubits missing from either factor act as I.
+
+    With Y = iXZ each factor is i^(k + |x&z|) X^x Z^z; moving Z^az past
+    X^bx costs (-1)^|az&bx|, and the product's own Ys are taken back out.
+    """
+    x = a.x ^ b.x
+    z = a.z ^ b.z
+    k = (a.phase_pow + b.phase_pow + len(a.x & a.z) + len(b.x & b.z)
+         + 2 * len(a.z & b.x) - len(x & z))
+    return SignedPauliString.from_xz(x, z, k)
 
 
 def commutes(a: SignedPauliString, b: SignedPauliString) -> bool:
-    """True iff the number of qubits with differing non-I letters is even."""
-    small, big = (a, b) if len(a.letters) <= len(b.letters) else (b, a)
-    odd = 0
-    for q, l in small.letters.items():
-        m = big.letters.get(q, "I")
-        if m != "I" and m != l:
-            odd ^= 1
-    return odd == 0
+    """True iff the symplectic product |a.x & b.z| + |a.z & b.x| is even."""
+    return not (len(a.x & b.z) + len(a.z & b.x)) & 1
 
 
 def parse_string(text: str) -> SignedPauliString:
@@ -256,63 +295,35 @@ def product_rotation(rot: Rotation, stab: SignedPauliString) -> Rotation:
 _HALF = Fraction(1, 2)
 
 
+def _rot(letters: Mapping, angle) -> Rotation:
+    return Rotation(SignedPauliString(letters), angle)
+
+
+# Named gate -> rotations, earliest applied first, each equal to the gate
+# up to global phase.  An entry takes the gate's qubits and then its angle
+# (units of pi), so a wrong qubit count raises TypeError.
+GATE_ROTATIONS = {
+    "CX": lambda c, t, a: [_rot({t: "X"}, _HALF), _rot({c: "Z"}, _HALF),
+                           _rot({c: "Z", t: "X"}, -_HALF)],
+    "CZ": lambda c, t, a: [_rot({t: "Z"}, _HALF), _rot({c: "Z"}, _HALF),
+                           _rot({c: "Z", t: "Z"}, -_HALF)],
+    "H": lambda q, a: [_rot({q: "Z"}, -_HALF), _rot({q: "X"}, -_HALF), _rot({q: "Z"}, -_HALF)],
+    "RZ": lambda q, a: [_rot({q: "Z"}, -Fraction(a))],
+    "RX": lambda q, a: [_rot({q: "X"}, -Fraction(a))],
+    "S": lambda q, a: [_rot({q: "Z"}, -_HALF)],
+    "Sdg": lambda q, a: [_rot({q: "Z"}, _HALF)],
+    "X": lambda q, a: [_rot({q: "X"}, 1)],
+    "Z": lambda q, a: [_rot({q: "Z"}, 1)],
+}
+
+
 def gate_to_exponentials(gate: str, qubits: Sequence, angle: Optional[Fraction] = None) -> list:
     """Decompose a named gate into rotations, in operator-product order.
 
     The returned list multiplies left-to-right to the gate up to global
-    phase, i.e. the *last* element acts first on a state.  Angles are in
-    units of pi.
+    phase, i.e. the *last* element acts first on a state: the
+    ``GATE_ROTATIONS`` entry reversed.  Angles are in units of pi.
     """
-    gate = gate.upper()
-    if gate == "CX":
-        c, t = qubits
-        return [
-            Rotation(from_letter_map({c: "Z", t: "X"}), -_HALF),
-            Rotation(single(c, "Z"), _HALF),
-            Rotation(single(t, "X"), _HALF),
-        ]
-    if gate == "CZ":
-        c, t = qubits
-        return [
-            Rotation(from_letter_map({c: "Z", t: "Z"}), -_HALF),
-            Rotation(single(c, "Z"), _HALF),
-            Rotation(single(t, "Z"), _HALF),
-        ]
-    if gate == "RZ":
-        (q,) = qubits
-        return [Rotation(single(q, "Z"), -Fraction(angle))]
-    if gate == "RX":
-        (q,) = qubits
-        return [Rotation(single(q, "X"), -Fraction(angle))]
-    if gate == "H":
-        (q,) = qubits
-        return [
-            Rotation(single(q, "Z"), -_HALF),
-            Rotation(single(q, "X"), -_HALF),
-            Rotation(single(q, "Z"), -_HALF),
-        ]
-    if gate == "CCX":
-        a, b, t = qubits
-        q4 = Fraction(1, 4)
-        return [
-            Rotation(from_letter_map({a: "Z", b: "Z", t: "X"}), -q4),
-            Rotation(from_letter_map({a: "Z", b: "Z"}), q4),
-            Rotation(from_letter_map({a: "Z", t: "X"}), q4),
-            Rotation(from_letter_map({b: "Z", t: "X"}), q4),
-            Rotation(single(a, "Z"), -q4),
-            Rotation(single(b, "Z"), -q4),
-            Rotation(single(t, "X"), -q4),
-        ]
-    raise ValueError(f"unknown gate {gate!r}")
-
-
-def conjugate_by_gate(gate: str, qubits: Sequence, string: SignedPauliString,
-                      angle: Optional[Fraction] = None) -> SignedPauliString:
-    """Exact Clifford conjugation G * string * G^dagger via the reorder rules."""
-    rotations = gate_to_exponentials(gate, qubits, angle)
-    out = string
-    for rot in reversed(rotations):
-        if not rot.is_clifford():
-            raise ValueError("conjugation needs a Clifford gate")
-        out = reorder_push(rot, out)
-    return out
+    if gate not in GATE_ROTATIONS:
+        raise ValueError(f"unknown gate {gate!r}")
+    return GATE_ROTATIONS[gate](*qubits, angle)[::-1]

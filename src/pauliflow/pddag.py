@@ -21,10 +21,10 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import f2
 from .pauli import (
+    GATE_ROTATIONS,
     Rotation,
     SignedPauliString,
     commutes,
-    gate_to_exponentials,
     identity_string,
     multiply,
     reorder_pull,
@@ -60,11 +60,6 @@ class Circuit:
     @property
     def init_wires(self) -> Tuple[int, ...]:
         return tuple(g.qubits[0] for g in self.gates if g.name == "INIT0")
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if self.n_wires != other.n_wires:
-            raise ValueError("wire count mismatch")
-        return Circuit(self.n_wires, self.gates + other.gates)
 
 
 # -- isometry tableau ---------------------------------------------------------
@@ -131,17 +126,13 @@ class IsometryTableau:
                     raise ValueError("free rows must commute with input rows")
 
     def _symplectic(self, rows: Sequence[SignedPauliString]) -> f2.F2Matrix:
+        """Rows as [x | z] bits over the outputs: X at bit i, Z at bit n + i."""
         n = len(self.outputs)
+        pos = {q: i for i, q in enumerate(self.outputs)}
         packed = []
         for r in rows:
-            bits = 0
-            for i, q in enumerate(self.outputs):
-                l = r.letter(q)
-                if l in ("X", "Y"):
-                    bits |= 1 << i
-                if l in ("Z", "Y"):
-                    bits |= 1 << (n + i)
-            packed.append(bits)
+            x, z = r.bits(pos)
+            packed.append(x | z << n)
         return f2.F2Matrix(packed, 2 * n)
 
     def rows_equal(self, other: "IsometryTableau") -> bool:
@@ -188,7 +179,7 @@ class IsometryTableau:
 
     def free_combo(self, string: SignedPauliString) -> Optional[Tuple[int, ...]]:
         """Indices of free rows whose exact signed product equals the string."""
-        if not string.is_hermitian():
+        if not string.is_hermitian() or not string.support <= set(self.outputs):
             return None
         mat = self._symplectic([r.unsigned() for r in self.free_rows])
         target = self._symplectic([string.unsigned()]).rows[0]
@@ -253,7 +244,7 @@ class Pddag:
         in list order; a successor not yet reached is exactly a Hasse edge.
         """
         pos = {q: k for k, q in enumerate(self.tableau.outputs)}
-        xz = [_xz_bits(self.nodes[nid].string, pos) for nid in self.node_ids]
+        xz = [self.nodes[nid].string.bits(pos) for nid in self.node_ids]
         n = len(xz)
         closed = [0] * n
         hasse = [0] * n
@@ -428,13 +419,6 @@ def _mask_pairs(ids: Sequence[str], succ: Sequence[int]) -> FrozenSet[Tuple[str,
     return frozenset((ids[i], ids[j]) for i, m in enumerate(succ) for j in f2.bits(m))
 
 
-def _xz_bits(string: SignedPauliString, pos: Mapping) -> Tuple[int, int]:
-    """X and Z parts of a string as bit masks over the qubit positions."""
-    x = sum(1 << pos[q] for q, letter in string.letters.items() if letter != "Z")
-    z = sum(1 << pos[q] for q, letter in string.letters.items() if letter != "X")
-    return x, z
-
-
 def _linearize(ids: Sequence[str], succ: Sequence[int]) -> Tuple[str, ...]:
     """Topological order of the successor masks, preferring list position
     (Kahn's algorithm with a position heap)."""
@@ -461,14 +445,6 @@ def build_pddag(tableau: IsometryTableau, ordered_nodes: Sequence[Tuple[str, Rot
 # -- synthesis ----------------------------------------------------------------
 
 
-GATE_ROTATIONS = {  # single-qubit Clifford gates as rotations
-    "S": lambda q: [Rotation(single(q, "Z"), Fraction(-1, 2))],
-    "Sdg": lambda q: [Rotation(single(q, "Z"), Fraction(1, 2))],
-    "X": lambda q: [Rotation(single(q, "X"), 1)],
-    "Z": lambda q: [Rotation(single(q, "Z"), 1)],
-}
-
-
 def circuit_to_rotations(circuit: Circuit) -> List[Rotation]:
     """Decompose a unitary circuit into rotations, earliest applied first."""
     out: List[Rotation] = []
@@ -477,10 +453,8 @@ def circuit_to_rotations(circuit: Circuit) -> List[Rotation]:
             raise ValueError("initializations are not rotations")
         if gate.name == "EXP":
             rots = [Rotation(gate.string, gate.angle)]
-        elif gate.name in GATE_ROTATIONS:
-            rots = GATE_ROTATIONS[gate.name](gate.qubits[0])
         else:
-            rots = list(reversed(gate_to_exponentials(gate.name, gate.qubits, gate.angle)))
+            rots = GATE_ROTATIONS[gate.name](*gate.qubits, gate.angle)
         out.extend(r for r in rots if r.angle % 2 != 0 and not r.string.is_identity_string())
     return out
 
@@ -535,45 +509,24 @@ def canonicalize_angles(dag: Pddag) -> Pddag:
         dag = Pddag(dag.tableau.conjugated(mover, pull=False), ids, nodes)
 
 
-def _bits_to_string(x: int, z: int, sign: int = 1) -> SignedPauliString:
-    letters = {}
-    i = 0
-    while x or z:
-        xb, zb = x & 1, z & 1
-        if xb or zb:
-            letters[i] = "Y" if (xb and zb) else ("X" if xb else "Z")
-        x >>= 1
-        z >>= 1
-        i += 1
-    return SignedPauliString(letters, 0 if sign == 1 else 2)
-
-
 def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], List[SignedPauliString]]:
     """Wire-indexed Z/X conjugation targets for a full unitary tableau.
 
     Inputs occupy the first wires in sorted order; each free row becomes the
     Z image of a fresh wire and its X partner is completed over GF(2).
     """
-    outputs = list(tab.outputs)
-    n = len(outputs)
-    remap = lambda row: SignedPauliString(
-        {outputs.index(q): l for q, l in row.letters.items()}, row.phase_pow
-    )
-    z_out = [remap(tab.z_rows[u]) for u in tab.inputs]
-    x_out = [remap(tab.x_rows[u]) for u in tab.inputs]
-    free = [remap(r) for r in tab.free_rows]
-    wires = list(range(n))
+    n = len(tab.outputs)
+    wire = {q: i for i, q in enumerate(tab.outputs)}
+    z_out = [tab.z_rows[u].relabelled(wire) for u in tab.inputs]
+    x_out = [tab.x_rows[u].relabelled(wire) for u in tab.inputs]
+    free = [r.relabelled(wire) for r in tab.free_rows]
 
     def sym_row(s: SignedPauliString) -> int:
-        # Coefficients of the symplectic product against unknown [x | z] bits.
-        bits = 0
-        for i in wires:
-            l = s.letter(i)
-            if l in ("Z", "Y"):
-                bits |= 1 << i            # pairs with unknown x_i
-            if l in ("X", "Y"):
-                bits |= 1 << (n + i)      # pairs with unknown z_i
-        return bits
+        # Coefficients of the symplectic product against unknown [x | z]
+        # bits: z_i pairs with unknown x_i, x_i with unknown z_i.  The
+        # strings are wire-indexed, so wire i sits at bit i.
+        x, z = s.bits(range(n))
+        return z | x << n
 
     for j, zrow in enumerate(free):
         rows = [sym_row(s) for s in z_out + x_out] + [sym_row(s) for s in free]
@@ -583,16 +536,15 @@ def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], Li
             raise ValueError("tableau rows violate symplectic constraints")
         xbits = sol[0] & ((1 << n) - 1)
         zbits = sol[0] >> n
-        partner = _bits_to_string(xbits, zbits)
+        partner = SignedPauliString.from_xz(f2.bits(xbits), f2.bits(zbits))
         z_out.append(zrow)
         x_out.append(partner)
     return z_out, x_out
 
 
 def _conj_gate(name: str, qubits: Tuple[int, ...], s: SignedPauliString) -> SignedPauliString:
-    rots = GATE_ROTATIONS[name](qubits[0]) if name in GATE_ROTATIONS \
-        else gate_to_exponentials(name, qubits)
-    for rot in reversed(rots):
+    """Exact Clifford conjugation G s G^dagger, one rotation at a time."""
+    for rot in GATE_ROTATIONS[name](*qubits, None):
         s = reorder_push(rot, s)
     return s
 
@@ -649,7 +601,7 @@ def clifford_circuit_from_rows(z_out: List[SignedPauliString],
 def lower_exp_gate(gate: Gate) -> List[Gate]:
     """CX-ladder lowering of a multi-qubit Pauli rotation."""
     string, angle = gate.string, gate.angle
-    support = sorted(string.letters)
+    support = sorted(string.support)
     if not support:
         return []
     eff = angle if string.sign == 1 else -angle
@@ -674,9 +626,9 @@ def lower_exp_gate(gate: Gate) -> List[Gate]:
 
 def synthesize(pddag: Pddag, lower_exp: bool = False) -> Circuit:
     """Tableau synthesis (fresh |0> wires + Clifford) then one rotation per node."""
-    outputs = list(pddag.tableau.outputs)
-    n = len(outputs)
+    n = len(pddag.tableau.outputs)
     m = len(pddag.tableau.inputs)
+    wire = {q: i for i, q in enumerate(pddag.tableau.outputs)}
     z_out, x_out = _complete_tableau(pddag.tableau)
     gates: List[Gate] = [Gate("INIT0", (w,)) for w in range(m, n)]
     gates += clifford_circuit_from_rows(z_out, x_out)
@@ -684,9 +636,7 @@ def synthesize(pddag: Pddag, lower_exp: bool = False) -> Circuit:
         rot = pddag.nodes[nid]
         if rot.is_identity() or rot.angle % 2 == 0:
             continue
-        wire_string = SignedPauliString(
-            {outputs.index(q): l for q, l in rot.string.letters.items()}, rot.string.phase_pow
-        )
-        exp = Gate("EXP", tuple(sorted(wire_string.letters)), angle=rot.angle, string=wire_string)
+        wire_string = rot.string.relabelled(wire)
+        exp = Gate("EXP", tuple(sorted(wire_string.support)), angle=rot.angle, string=wire_string)
         gates += lower_exp_gate(exp) if lower_exp else [exp]
     return Circuit(n, tuple(gates))

@@ -207,6 +207,10 @@ def test_verify_equal_rejects_out_of_range_qubit(tmp_path, capsys):
     ([{"gate": "CZ", "qubits": [0]}], "/gates/0/qubits"),
     ([{"gate": "X", "qubits": [-1]}], "/gates/0/qubits"),
     ([{"gate": "RZ", "qubits": [0]}], "/gates/0"),
+    ([{"gate": "EXP", "qubits": [0], "angle": {"num": 1, "den": 4}, "string": 5}],
+     "/gates/0/string"),
+    ([{"gate": "EXP", "qubits": [0], "angle": {"num": 1, "den": 4}, "string": "Q(0)"}],
+     "/gates/0/string"),
 ])
 def test_parse_circuit_rejects_malformed_gates(gates, path):
     from pauliflow.cli import parse_circuit
@@ -231,6 +235,74 @@ def test_rewrite_fset_index_out_of_range_exit_2(tmp_path, capsys):
     assert code == 2 and out == ""
     error = json.loads(err)
     assert error["error"] == "schema" and error["path"] == "--fset-index"
+
+
+def schema_error_path(capsys, *argv):
+    """Run the CLI, expect exit 2 with one schema error object; its path."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "schema"
+    return error["path"]
+
+
+def _depth_list(flow):
+    del flow["order"]
+    flow["depth"] = [1, 2]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (_depth_list, "/flow/depth"),
+    (lambda flow: flow.update(p=["a"]), "/flow/p"),
+    (lambda flow: flow.update(order=5), "/flow/order"),
+    (lambda flow: flow["p"].update(a=["zz"]), "/flow"),
+    (lambda flow: flow["order"].append(["o1", "i"]), "/flow"),
+], ids=["depth-list", "p-list", "order-int", "p-names-non-vertex", "cyclic-order"])
+def test_malformed_flow_exit_2(tmp_path, capsys, mutate, path):
+    # each of these used to end in a traceback or in exit 1 "value"
+    doc = worked_doc()
+    mutate(doc["flow"])
+    assert schema_error_path(capsys, "flow", "verify", write(tmp_path, "p.json", doc)) == path
+
+
+def _set_free_row(doc):
+    doc["tableau"]["free"][0] = 3
+
+
+def _commuting_rows(doc):
+    row = doc["tableau"]["inputs"][0]
+    row["x"] = row["z"]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda doc: doc["nodes"][0].update(string=5), "/nodes/0/string"),
+    (_set_free_row, "/tableau/free/0"),
+    (lambda doc: doc["nodes"][0].update(string="Q(a)"), "/nodes/0/string"),
+    (lambda doc: doc["nodes"][0].update(id=7), "/nodes/0/id"),
+    (_commuting_rows, "/tableau"),
+    (lambda doc: doc["nodes"][1].update(id=doc["nodes"][0]["id"]), "/nodes"),
+    (lambda doc: doc["nodes"][0].update(string="iX(o1)"), "/nodes"),
+], ids=["int-node-string", "int-free-row", "bad-letter", "int-node-id",
+        "commuting-zx-rows", "duplicate-node-id", "imaginary-node"])
+def test_malformed_pddag_exit_2(tmp_path, capsys, mutate, path):
+    from pauliflow.extract import extract_pddag
+
+    dag = extract_pddag(worked_example(), worked_example_flow(), [worked_example_fset()])
+    doc = json.loads(dumps(pddag_json(dag)))
+    mutate(doc)
+    assert schema_error_path(capsys, "synth", write(tmp_path, "dag.json", doc)) == path
+
+
+@pytest.mark.parametrize("command", ["synth", "verify-equal"])
+def test_non_object_document_exit_2(tmp_path, capsys, command):
+    path = str(tmp_path / "five.json")
+    (tmp_path / "five.json").write_text("5\n")
+    argv = [command, path] + ([path] if command == "verify-equal" else [])
+    assert schema_error_path(capsys, *argv) == ""
+
+
+def test_gen_zero_vertices_exit_2(capsys):
+    assert schema_error_path(capsys, "gen", "--vertices", "0", "--seed", "1") == "--vertices"
 
 
 def test_rewrite_cli(tmp_path, capsys):

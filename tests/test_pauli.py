@@ -11,7 +11,6 @@ from pauliflow.pauli import (
     Rotation,
     SignedPauliString,
     commutes,
-    conjugate_by_gate,
     from_letter_map,
     gate_to_exponentials,
     identity_string,
@@ -21,6 +20,7 @@ from pauliflow.pauli import (
     reorder_push,
     single,
 )
+from pauliflow.pddag import _conj_gate
 
 F = Fraction
 
@@ -139,10 +139,11 @@ def test_reorder_soundness_dense():
 def dense_gate(name, qubits, wires, angle=None):
     mats = {
         "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
-        "RZ": None, "RX": None,
+        "S": np.diag([1, 1j]), "Sdg": np.diag([1, -1j]),
+        "X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1]),
     }
     n = len(wires)
-    if name in ("CX", "CZ", "CCX"):
+    if name in ("CX", "CZ"):
         dim = 2 ** n
         m = np.zeros((dim, dim), dtype=complex)
         for row in range(dim):
@@ -154,13 +155,11 @@ def dense_gate(name, qubits, wires, angle=None):
                 continue
             if name == "CX" and bits[pos[qubits[0]]]:
                 out[pos[qubits[1]]] ^= 1
-            if name == "CCX" and bits[pos[qubits[0]]] and bits[pos[qubits[1]]]:
-                out[pos[qubits[2]]] ^= 1
             col = sum(b << (n - 1 - i) for i, b in enumerate(out))
             m[col, row] = 1
         return m
-    if name == "H":
-        base = mats["H"]
+    if name in mats:
+        base = mats[name]
     elif name == "RZ":
         half = float(angle) * np.pi / 2
         base = np.diag([np.exp(-1j * half), np.exp(1j * half)])
@@ -179,7 +178,10 @@ def dense_gate(name, qubits, wires, angle=None):
     ("RZ", ("q",), F(1, 3)),
     ("RX", ("q",), F(2, 5)),
     ("H", ("q",), None),
-    ("CCX", ("a", "b", "t"), None),
+    ("S", ("q",), None),
+    ("Sdg", ("q",), None),
+    ("X", ("q",), None),
+    ("Z", ("q",), None),
 ])
 def test_gate_decompositions_reproduce_gates(name, qubits, angle):
     wires = sorted(set(qubits))
@@ -205,6 +207,10 @@ def test_rz_decomposition():
 def test_unknown_gate_rejected():
     with pytest.raises(ValueError):
         gate_to_exponentials("SWAP", ("a", "b"))
+    with pytest.raises(TypeError):
+        gate_to_exponentials("CX", ("a",))
+    with pytest.raises(TypeError):
+        gate_to_exponentials("H", ("a", "b"))
 
 
 def test_product_rotation_example():
@@ -246,12 +252,13 @@ def test_parse_format_roundtrip():
 
 def test_conjugate_by_gate_matches_dense():
     rng = random.Random(12)
-    for name, qubits in (("H", ("0",)), ("CX", ("0", "1")), ("CZ", ("0", "1"))):
+    gates = [(name, ("0",)) for name in ("H", "S", "Sdg", "X", "Z")]
+    for name, qubits in gates + [("CX", ("0", "1")), ("CZ", ("0", "1"))]:
         wires = sorted(set(qubits)) if len(qubits) > 1 else ["0", "1"]
         for _ in range(60):
             s = random_string(rng, wires)
             s = SignedPauliString(s.letters, rng.choice((0, 2)))
-            out = conjugate_by_gate(name, qubits, s)
+            out = _conj_gate(name, qubits, s)
             g = dense_gate(name, qubits, wires)
             lhs = g @ string_matrix(s, wires) @ g.conj().T
             assert np.max(np.abs(lhs - string_matrix(out, wires))) < 1e-12
