@@ -1,8 +1,10 @@
 """Command-line front end: JSON I/O for patterns, flows, Pddags and circuits.
 
 Exit codes: 0 success, 1 negative result (no flow, failed verification,
-inequivalent maps), 2 usage or parse errors.  Errors go to stderr as a
-single JSON object.
+inequivalent maps), 2 usage or parse errors, and also 2 with error kind
+"cap" when ``verify-equal`` cannot check because a map is wider than the
+dense oracle's qubit cap (``PAULIFLOW_MAX_QUBITS``).  Errors go to stderr
+as a single JSON object.
 """
 
 from __future__ import annotations
@@ -594,6 +596,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(dumps({"error": "io", "message": str(exc)}))
+        return 2
+    except oracle_mod.QubitCapExceeded as exc:
+        sys.stderr.write(dumps({"error": "cap", "message": str(exc)}))
         return 2
     except ValueError as exc:
         sys.stderr.write(dumps({"error": "value", "message": str(exc)}))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import MeasurementPattern
 from .pauli import SignedPauliString
-from .pddag import Circuit, Gate, Pddag, clifford_circuit_from_rows, _complete_tableau
+from .pddag import Circuit, IsometryTableau, Pddag
 
 DEFAULT_TOL = 1e-9
 
@@ -201,21 +201,57 @@ def _apply_cx(mat: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
     return mat[flipped, :]
 
 
+def _apply_pauli(vec: np.ndarray, x: int, z: int, k: int) -> np.ndarray:
+    """i^k X^x Z^z applied to a state vector (x, z: index bit masks).
+
+    Z^z signs each amplitude by the parity of its index on z; X^x flips
+    the index bits in x.
+    """
+    idx = np.arange(vec.size)
+    sign = np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
+    return 1j ** (k % 4) * (sign * vec)[idx ^ x]
+
+
+def tableau_isometry(tab: IsometryTableau) -> np.ndarray:
+    """The tableau's isometry V, a 2^|O| x 2^|I| matrix, built from its rows.
+
+    The Choi state sum_i |i>_in (x) V|i>_out is the unique joint +1
+    eigenvector of Z_u (x) z_row(u), X_u (x) x_row(u) and I (x) free_row, so a
+    fixed random vector is projected onto each of those +1 eigenspaces in
+    turn, then reshaped and scaled to unit columns.  Output q sits at index
+    bit n-1-pos(q) and input u at bit n+m-1-pos(u), both in sorted order.
+    """
+    m, n = len(tab.inputs), len(tab.outputs)
+    bit = {q: 1 << (n - 1 - i) for i, q in enumerate(tab.outputs)}
+
+    def masks(row: SignedPauliString) -> Tuple[int, int, int]:
+        # With Y = iXZ the row is i^(k + |x&z|) X^x Z^z.
+        return (sum(bit[q] for q in row.x), sum(bit[q] for q in row.z),
+                row.phase_pow + len(row.x & row.z))
+
+    stabilizers = [masks(r) for r in tab.free_rows]
+    for i, u in enumerate(tab.inputs):
+        in_bit = 1 << (n + m - 1 - i)
+        x, z, k = masks(tab.z_rows[u])
+        stabilizers.append((x, z | in_bit, k))
+        x, z, k = masks(tab.x_rows[u])
+        stabilizers.append((x | in_bit, z, k))
+    rng = np.random.default_rng(0)
+    vec = rng.standard_normal(2 ** (m + n)) + 1j * rng.standard_normal(2 ** (m + n))
+    for x, z, k in stabilizers:
+        vec = (vec + _apply_pauli(vec, x, z, k)) / 2
+    vec *= math.sqrt(2 ** m) / np.linalg.norm(vec)
+    return vec.reshape(2 ** m, 2 ** n).T
+
+
 def pddag_semantics(pddag: Pddag, cap: Optional[int] = None) -> DenseMap:
-    """Rotation product times the synthesized tableau Clifford."""
+    """Rotation product times the tableau isometry."""
     outputs = list(pddag.tableau.outputs)
     n = len(outputs)
     cap = qubit_cap() if cap is None else cap
     if n > cap:
         raise QubitCapExceeded(f"{n} wires exceeds cap {cap}")
-    m = len(pddag.tableau.inputs)
-    z_out, x_out = _complete_tableau(pddag.tableau)
-    tab_circuit = Circuit(
-        n,
-        tuple([Gate("INIT0", (w,)) for w in range(m, n)])
-        + tuple(clifford_circuit_from_rows(z_out, x_out)),
-    )
-    mat = circuit_semantics(tab_circuit, cap).matrix
+    mat = tableau_isometry(pddag.tableau)
     for nid in pddag.node_ids:
         rot = pddag.nodes[nid]
         mat = rotation_matrix(rot.string, rot.angle, outputs) @ mat

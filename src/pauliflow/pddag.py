@@ -9,6 +9,16 @@ the same canonical DAG, which is what gets compared and serialized.
 
 Node angles live in [0, 2) (units of pi) since the represented map is
 only defined up to global phase.
+
+Synthesis completes the isometry tableau to a unitary one (each free row
+is the Z image of a fresh |0> wire, its X partner solved over GF(2)) and
+reduces it wire by wire to the identity with H, S, CX, X and Z.  The
+tableau being reduced is column-packed, as in Aaronson & Gottesman,
+*Improved simulation of stabilizer circuits* (2004): one int per wire for
+the X column and one for the Z column over all 2n rows, plus one int of
+signs, so each reducing gate updates every row in a few big-int operations
+(the rules are listed on ``clifford_circuit_from_rows``).  The circuit is
+the reduction reversed, followed by one rotation per node.
 """
 
 from __future__ import annotations
@@ -542,57 +552,90 @@ def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], Li
     return z_out, x_out
 
 
-def _conj_gate(name: str, qubits: Tuple[int, ...], s: SignedPauliString) -> SignedPauliString:
-    """Exact Clifford conjugation G s G^dagger, one rotation at a time."""
-    for rot in GATE_ROTATIONS[name](*qubits, None):
-        s = reorder_push(rot, s)
-    return s
-
-
 def clifford_circuit_from_rows(z_out: List[SignedPauliString],
                                x_out: List[SignedPauliString]) -> List[Gate]:
-    """Gate list realizing a unitary Clifford with the given Z/X images, signs exact."""
+    """Gate list realizing a unitary Clifford with the given Z/X images, signs exact.
+
+    The rows live in a column-packed tableau: rows 0..n-1 are the Z images
+    of wires 0..n-1 and rows n..2n-1 their X images; ``xc[j]`` has bit i set
+    when row i carries X or Y on wire j, ``zc[j]`` when it carries Z or Y,
+    and bit i of ``r`` when row i has sign -1.  Each reducing gate G
+    conjugates every row at once (G P G^dagger) with the update rules of
+    Aaronson & Gottesman, *Improved simulation of stabilizer circuits* (2004):
+
+    - H(a): ``r ^= xc[a] & zc[a]``, then swap ``xc[a]`` and ``zc[a]``;
+    - S(a): ``r ^= xc[a] & zc[a]``, then ``zc[a] ^= xc[a]``;
+    - CX(a, b): ``r ^= xc[a] & zc[b] & ~(xc[b] ^ zc[a])``, then
+      ``xc[b] ^= xc[a]`` and ``zc[a] ^= zc[b]``;
+    - X(a): ``r ^= zc[a]``;  Z(a): ``r ^= xc[a]``.
+
+    Wire by wire, X row k and then Z row k (inside an H sandwich) are
+    reduced to X_k and Z_k, signs are fixed with Z and X, and the
+    reduction is returned reversed with S and Sdg swapped.
+    """
     n = len(z_out)
-    zr = list(z_out)
-    xr = list(x_out)
+    xc = [0] * n
+    zc = [0] * n
+    r = 0
+    for i, s in enumerate(list(z_out) + list(x_out)):
+        if s.sign == -1:
+            r |= 1 << i
+        for q in s.x:
+            xc[q] |= 1 << i
+        for q in s.z:
+            zc[q] |= 1 << i
     reducing: List[Gate] = []
 
-    def emit(name, *qubits):
-        reducing.append(Gate(name, tuple(qubits)))
-        for rows in (zr, xr):
-            for i, s in enumerate(rows):
-                rows[i] = _conj_gate(name, tuple(qubits), s)
+    def emit(name, a, b=None):
+        nonlocal r
+        if name == "H":
+            r ^= xc[a] & zc[a]
+            xc[a], zc[a] = zc[a], xc[a]
+        elif name == "S":
+            r ^= xc[a] & zc[a]
+            zc[a] ^= xc[a]
+        elif name == "CX":
+            r ^= xc[a] & zc[b] & ~(xc[b] ^ zc[a])
+            xc[b] ^= xc[a]
+            zc[a] ^= zc[b]
+        elif name == "X":
+            r ^= zc[a]
+        else:
+            r ^= xc[a]
+        reducing.append(Gate(name, (a,) if b is None else (a, b)))
 
-    def clean_to_x(row_list, k):
-        # Reduce row_list[k] (supported on wires >= k) to +-X_k.
+    def clean_to_x(row, k):
+        # Reduce row (supported on wires >= k) to +-X_k.
+        bit = 1 << row
         for j in range(k, n):
-            l = row_list[k].letter(j)
-            if l == "Y":
-                emit("S", j)
-            elif l == "Z":
+            if xc[j] & bit:
+                if zc[j] & bit:
+                    emit("S", j)
+            elif zc[j] & bit:
                 emit("H", j)
-        if row_list[k].letter(k) != "X":
-            j = next(j for j in range(k + 1, n) if row_list[k].letter(j) == "X")
+        if not xc[k] & bit:
+            j = next(j for j in range(k + 1, n) if xc[j] & bit)
             emit("CX", k, j)
             emit("CX", j, k)
             emit("CX", k, j)
         for j in range(n):
-            if j != k and row_list[k].letter(j) == "X":
+            if j != k and xc[j] & bit and not zc[j] & bit:
                 emit("CX", k, j)
 
     for k in range(n):
-        clean_to_x(xr, k)
-        if zr[k].unsigned() != single(k, "Z"):
+        clean_to_x(n + k, k)
+        bit = 1 << k  # Z row k; reduce it unless it is +-Z_k
+        if xc[k] & bit or not zc[k] & bit or any((xc[j] | zc[j]) & bit
+                                                   for j in range(n) if j != k):
             emit("H", k)
-            clean_to_x(zr, k)
+            clean_to_x(k, k)
             emit("H", k)
-        if xr[k].sign == -1:
+        if r >> (n + k) & 1:
             emit("Z", k)
-        if zr[k].sign == -1:
+        if r >> k & 1:
             emit("X", k)
 
-    for k in range(n):
-        assert xr[k] == single(k, "X") and zr[k] == single(k, "Z")
+    assert r == 0 and all(xc[j] == 1 << (n + j) and zc[j] == 1 << j for j in range(n))
 
     dagger = {"S": "Sdg", "Sdg": "S"}
     return [Gate(dagger.get(g.name, g.name), g.qubits) for g in reversed(reducing)]

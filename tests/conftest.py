@@ -7,6 +7,9 @@ import pytest
 
 from pauliflow.flow import FlowOrder, PauliFlowData
 from pauliflow.graph import LabelledOpenGraph, MeasurementPattern
+from pauliflow.pauli import single
+from pauliflow.pddag import Gate
+from tests.reference_synth import conj_gate
 
 F = Fraction
 
@@ -217,3 +220,33 @@ def sized_circuit_pattern(n_vertices, wires, seed):
             labels[v] = "XY"
             angles[v] = random_angle(rng)
     return MeasurementPattern.make(verts, edges, inputs, outputs, labels, angles)
+
+
+def with_prepared_wires(pattern, k):
+    """The same pattern with k of its inputs prepared instead."""
+    g = pattern.graph
+    graph = LabelledOpenGraph(g.vertices, g.edges, frozenset(sorted(g.inputs)[k:]),
+                              g.outputs, g.labels)
+    return MeasurementPattern(graph, pattern.angles)
+
+
+def random_clifford_rows(rng, n):
+    """Exact Z/X images of a random Clifford circuit, plus the circuit."""
+    gates = []
+    for _ in range(rng.randrange(4, 25)):
+        kind = rng.choice(["H", "S", "Sdg", "X", "Z", "CX", "CZ"])
+        if kind in ("CX", "CZ") and n >= 2:
+            a, b = rng.sample(range(n), 2)
+            gates.append(Gate(kind, (a, b)))
+        else:
+            gates.append(Gate(rng.choice(["H", "S", "Sdg", "X", "Z"]), (rng.randrange(n),)))
+    z_rows = []
+    x_rows = []
+    for k in range(n):
+        z, x = single(k, "Z"), single(k, "X")
+        for gate in gates:
+            z = conj_gate(gate.name, gate.qubits, z)
+            x = conj_gate(gate.name, gate.qubits, x)
+        z_rows.append(z)
+        x_rows.append(x)
+    return z_rows, x_rows, gates

@@ -189,6 +189,18 @@ def test_verify_equal_different(tmp_path, capsys):
     assert code == 1 and json.loads(out)["equal"] is False
 
 
+def test_verify_equal_over_cap_is_not_a_negative_result(tmp_path, capsys, monkeypatch):
+    # exit 1 means "not equal"; a map the oracle cannot build is exit 2
+    monkeypatch.delenv("PAULIFLOW_MAX_QUBITS", raising=False)
+    code, out, _ = run_cli(capsys, "gen", "--vertices", "20", "--seed", "0")
+    assert code == 0
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "verify-equal", str(path), str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "cap", "message": "20 qubits exceeds cap 14"}
+
+
 def test_verify_equal_rejects_out_of_range_qubit(tmp_path, capsys):
     # a CX on a wire the circuit does not have used to compare "equal" to
     # the empty circuit

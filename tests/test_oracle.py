@@ -1,5 +1,7 @@
 """The dense oracle itself: hand-checked values and self-consistency."""
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -7,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pauliflow import oracle
+from pauliflow.extract import extract_pddag
 from pauliflow.graph import MeasurementPattern, TrailingGate
 from pauliflow.oracle import (
     DenseMap,
@@ -16,10 +20,12 @@ from pauliflow.oracle import (
     pattern_semantics,
     pauli_absorption_check,
     string_matrix,
+    tableau_isometry,
 )
 from pauliflow.pauli import from_letter_map, gate_to_exponentials
-from pauliflow.pddag import Circuit, Gate
-from tests.conftest import random_flowful_pattern
+from pauliflow.pddag import Circuit, Gate, _complete_tableau
+from tests import reference_synth
+from tests.conftest import random_circuit_pattern, random_flowful_pattern, with_prepared_wires
 
 F = Fraction
 
@@ -129,3 +135,31 @@ def test_qubit_cap(monkeypatch):
     from pauliflow.oracle import QubitCapExceeded
     with pytest.raises(QubitCapExceeded):
         pattern_semantics(p)
+
+
+def test_tableau_isometry_matches_synthesized_clifford():
+    # the isometry built from the rows equals INIT0 on the fresh wires
+    # followed by the (reference) synthesized Clifford
+    rng = random.Random(32)
+    patterns = [random_flowful_pattern(rng, max_vertices=8)[0] for _ in range(20)]
+    for wires in (2, 3, 4):
+        pattern = random_circuit_pattern(rng, wires, 6)
+        patterns += [pattern, with_prepared_wires(pattern, 1)]
+    for pattern in patterns:
+        tab = extract_pddag(pattern).tableau
+        n, m = len(tab.outputs), len(tab.inputs)
+        v = tableau_isometry(tab)
+        assert v.shape == (2 ** n, 2 ** m)
+        assert np.allclose(v.conj().T @ v, np.eye(2 ** m), atol=1e-9)
+        gates = tuple(Gate("INIT0", (w,)) for w in range(m, n)) \
+            + tuple(reference_synth.clifford_circuit_from_rows(*_complete_tableau(tab)))
+        want = circuit_semantics(Circuit(n, gates)).matrix
+        assert equal_up_to_phase(DenseMap(v, (), ()), DenseMap(want, (), ()))
+
+
+def test_oracle_imports_only_data_types_from_pddag():
+    tree = ast.parse(inspect.getsource(oracle))
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "pddag"
+             for a in node.names]
+    assert names and all(isinstance(getattr(oracle, n), type) for n in names)

@@ -20,7 +20,7 @@ from pauliflow.pauli import (
     reorder_push,
     single,
 )
-from pauliflow.pddag import _conj_gate
+from tests.reference_synth import conj_gate
 
 F = Fraction
 
@@ -258,7 +258,7 @@ def test_conjugate_by_gate_matches_dense():
         for _ in range(60):
             s = random_string(rng, wires)
             s = SignedPauliString(s.letters, rng.choice((0, 2)))
-            out = _conj_gate(name, qubits, s)
+            out = conj_gate(name, qubits, s)
             g = dense_gate(name, qubits, wires)
             lhs = g @ string_matrix(s, wires) @ g.conj().T
             assert np.max(np.abs(lhs - string_matrix(out, wires))) < 1e-12

@@ -13,11 +13,10 @@ import pytest
 
 from pauliflow import f2
 from pauliflow.extract import extract_pddag
-from pauliflow.graph import LabelledOpenGraph, MeasurementPattern
 from pauliflow.pauli import SignedPauliString, commutes, multiply, parse_string
 from pauliflow.pddag import _complete_tableau
 from tests import reference_pauli as ref
-from tests.conftest import sized_circuit_pattern
+from tests.conftest import sized_circuit_pattern, with_prepared_wires
 
 
 def random_string(rng, qubits, density=0.5):
@@ -89,14 +88,6 @@ def test_bit_layouts_match_reference_packers():
         wx, wz = w.bits(range(n))
         assert wz | wx << n == ref.partner_bits(w, n)
         assert SignedPauliString.from_xz(f2.bits(wx), f2.bits(wz)) == ref.bits_to_string(wx, wz)
-
-
-def with_prepared_wires(pattern, k):
-    """The same pattern with k of its inputs prepared instead."""
-    g = pattern.graph
-    graph = LabelledOpenGraph(g.vertices, g.edges, frozenset(sorted(g.inputs)[k:]),
-                              g.outputs, g.labels)
-    return MeasurementPattern(graph, pattern.angles)
 
 
 @pytest.mark.parametrize("n", [40, 80])

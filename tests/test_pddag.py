@@ -27,6 +27,7 @@ from pauliflow.pddag import (
     synthesize,
     unitary_pddag_from_circuit,
 )
+from tests.conftest import random_clifford_rows
 
 F = Fraction
 
@@ -84,30 +85,6 @@ def test_free_combo_signed():
 
 
 # -- synthesis ------------------------------------------------------------------
-
-
-def random_clifford_rows(rng, n):
-    """Exact Z/X images of a random Clifford circuit, plus the circuit."""
-    from pauliflow.pddag import _conj_gate
-
-    gates = []
-    for _ in range(rng.randrange(4, 25)):
-        kind = rng.choice(["H", "S", "Sdg", "X", "Z", "CX", "CZ"])
-        if kind in ("CX", "CZ") and n >= 2:
-            a, b = rng.sample(range(n), 2)
-            gates.append(Gate(kind, (a, b)))
-        else:
-            gates.append(Gate(rng.choice(["H", "S", "Sdg", "X", "Z"]), (rng.randrange(n),)))
-    z_rows = []
-    x_rows = []
-    for k in range(n):
-        z, x = single(k, "Z"), single(k, "X")
-        for gate in gates:
-            z = _conj_gate(gate.name, gate.qubits, z)
-            x = _conj_gate(gate.name, gate.qubits, x)
-        z_rows.append(z)
-        x_rows.append(x)
-    return z_rows, x_rows, gates
 
 
 def test_clifford_synthesis_exact_rows():

@@ -1,0 +1,87 @@
+"""Per-stage wall times of the compile pipeline, as a Markdown table.
+
+For ``sized_circuit_pattern(n, n // 10, seed=n)`` (tests/conftest.py) at
+n = 80, 160 and 320 it times, best of 3, each stage on its own:
+
+- find: ``find_pauli_flow``;
+- focus: ``focus_flow`` of the found flow;
+- fsets: ``focussed_set_generators``;
+- extract: ``extract_pddag`` given the focussed flow and the sets;
+- hasse: ``Pddag.hasse`` on a fresh copy of the extracted Pddag;
+- synth: ``synthesize(dag, lower_exp=True)``.
+
+It then prints each stage's growth exponent, the least-squares slope of
+log time against log n over 80 -> 320.  Run it from the root of a checkout
+(it takes no flags):
+
+    python tools/stage_table.py
+"""
+
+import math
+import sys
+import time
+from pathlib import Path
+from typing import Callable, Dict
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from pauliflow.extract import extract_pddag  # noqa: E402
+from pauliflow.flow import find_pauli_flow, focus_flow, focussed_set_generators  # noqa: E402
+from pauliflow.pddag import Pddag, synthesize  # noqa: E402
+from tests.conftest import sized_circuit_pattern  # noqa: E402
+
+STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth")
+SIZES = (80, 160, 320)
+
+
+def _best(call: Callable[[], object], repeats: int):
+    """(best wall time in seconds, result of the last call)."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = call()
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
+def stage_times(n: int, repeats: int = 3) -> Dict[str, float]:
+    """Best-of-``repeats`` seconds per stage for the size-n pattern."""
+    pattern = sized_circuit_pattern(n, n // 10, seed=n)
+    g = pattern.graph
+    times = {}
+    times["find"], found = _best(lambda: find_pauli_flow(g), repeats)
+    times["focus"], focussed = _best(lambda: focus_flow(g, found), repeats)
+    times["fsets"], fsets = _best(lambda: focussed_set_generators(g), repeats)
+    times["extract"], dag = _best(lambda: extract_pddag(pattern, focussed, fsets), repeats)
+    fresh = [Pddag(dag.tableau, dag.node_ids, dag.nodes) for _ in range(repeats)]
+    times["hasse"], _ = _best(lambda: fresh.pop().hasse(), repeats)
+    times["synth"], _ = _best(lambda: synthesize(dag, lower_exp=True), repeats)
+    return times
+
+
+def growth_exponent(sizes, seconds) -> float:
+    """Least-squares slope of log(seconds) against log(size)."""
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(max(t, 1e-9)) for t in seconds]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+def main() -> None:
+    rows = {n: stage_times(n) for n in SIZES}
+    print("| n | " + " | ".join(STAGES) + " |")
+    print("| --- " * (len(STAGES) + 1) + "|")
+    for n in SIZES:
+        print(f"| {n} | " + " | ".join(f"{rows[n][s]:.4f}" for s in STAGES) + " |")
+    print()
+    print(f"growth exponent over {SIZES[0]} -> {SIZES[-1]}:")
+    for s in STAGES:
+        print(f"  {s}: {growth_exponent(SIZES, [rows[n][s] for n in SIZES]):.2f}")
+
+
+if __name__ == "__main__":
+    main()
