@@ -130,8 +130,12 @@ def parse_pattern_document(doc, float_angles: bool = False):
             raise SchemaError(f"/angles/{v}", "angles only on measured vertices")
         angles[v] = parse_angle(a, f"/angles/{v}", float_angles)
     trailing = []
+    if not isinstance(doc.get("trailing", []), list):
+        raise SchemaError("/trailing", "expected a list")
     for i, tg in enumerate(doc.get("trailing", [])):
         _expect_keys(tg, ["qubit", "gate", "angle"], ["qubit", "gate"], f"/trailing/{i}")
+        if not isinstance(tg["qubit"], str) or tg["qubit"] not in outputs:
+            raise SchemaError(f"/trailing/{i}/qubit", "not an output")
         if tg["gate"] not in ("Z", "X", "S", "Sdg", "H", "RZ", "RX"):
             raise SchemaError(f"/trailing/{i}/gate", f"bad gate {tg['gate']!r}")
         angle = parse_angle(tg["angle"], f"/trailing/{i}/angle", float_angles) \
@@ -148,9 +152,24 @@ def parse_pattern_document(doc, float_angles: bool = False):
     flow = parse_flow(doc["flow"], "/flow", vertices) if "flow" in doc else None
     fsets = None
     if "fsets" in doc:
-        fsets = [frozenset(_str_list(fs, f"/fsets/{i}"))
-                 for i, fs in enumerate(doc["fsets"])]
+        fsets = parse_fsets(doc["fsets"], pattern.graph)
     return pattern, flow, fsets
+
+
+def parse_fsets(obj, graph: LabelledOpenGraph) -> List[frozenset]:
+    """Parse |O| - |I| focussed sets, each focussed over the measured vertices."""
+    expected = len(graph.outputs) - len(graph.inputs)
+    if not isinstance(obj, list) or len(obj) != expected:
+        raise SchemaError("/fsets", f"expected a list of |O| - |I| = {expected} sets")
+    fsets = []
+    for i, fs in enumerate(obj):
+        members = frozenset(_str_list(fs, f"/fsets/{i}"))
+        if not members <= graph.prepared:
+            raise SchemaError(f"/fsets/{i}", "members must be non-input vertices")
+        if not flow_mod.verify_focussed(graph, members, graph.measured):
+            raise SchemaError(f"/fsets/{i}", "not focussed over the measured vertices")
+        fsets.append(members)
+    return fsets
 
 
 def parse_flow(obj, path: str, vertices=()) -> flow_mod.PauliFlowData:
@@ -319,9 +338,9 @@ def parse_circuit(doc) -> Circuit:
         if name not in GATE_NAMES:
             raise SchemaError(f"{path}/gate", f"unknown gate {name!r}")
         arity = {"CZ": 2, "CX": 2, "EXP": None}.get(name, 1)
-        if not isinstance(qubits, list) or len(set(qubits)) != len(qubits) \
+        if not isinstance(qubits, list) \
                 or any(type(q) is not int or not 0 <= q < wires for q in qubits) \
-                or arity not in (None, len(qubits)):
+                or len(set(qubits)) != len(qubits) or arity not in (None, len(qubits)):
             raise SchemaError(f"{path}/qubits", f"{name} needs {arity or 'its'} distinct "
                               f"wire indices in [0, {wires})")
         if name in ("RZ", "RX", "EXP") and "angle" not in g or name == "EXP" and "string" not in g:

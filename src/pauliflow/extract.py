@@ -28,7 +28,7 @@ from .flow import (
 )
 from .graph import LabelledOpenGraph, MeasurementPattern, TrailingGate
 from .pauli import GATE_ROTATIONS, Rotation, SignedPauliString, single
-from .pddag import Circuit, IsometryTableau, Pddag, build_pddag, node_rotation, synthesize
+from .pddag import Circuit, IsometryTableau, Pddag, build_pddag, synthesize
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,10 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
     flow = paulis_first(g, flow)
     if fsets is None:
         fsets = focussed_set_generators(g)
+    else:
+        bad = [sorted(fs) for fs in fsets if not verify_focussed(g, fs, g.measured)]
+        if bad:
+            raise ValueError(f"supplied focussed sets are not focussed: {bad}")
 
     # Rotation nodes, one per planar measured vertex, earliest first.
     temporal = [v for v in flow.order.temporal_order(g.measured) if g.is_planar(v)]
@@ -140,7 +144,7 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
         ext = extraction_string(pattern, flow, v)
         d = 1 if g.labels[v] == "YZ" else 0
         string = -ext.string if d else ext.string
-        nodes.append((v, node_rotation(string, pattern.angles[v])))
+        nodes.append((v, Rotation(string, pattern.angles[v])))
 
     # Tableau rows.
     epattern, eflow, ext_ids = _extend_all_inputs(pattern, flow)
@@ -215,11 +219,11 @@ def append_trailing(dag: Pddag, trailing: Sequence[TrailingGate]) -> Pddag:
     for i, tg in enumerate(trailing):
         rots = trailing_rotations(tg)
         for j, rot in enumerate(rots):
-            if rot.angle % 2 == 0:
+            if rot.angle == 0:
                 continue
             nid = trailing_node_id(len(trailing), i, j if len(rots) > 1 else None)
             ids.append(nid)
-            nodes[nid] = node_rotation(rot.string, rot.angle)
+            nodes[nid] = rot
     return Pddag(dag.tableau, tuple(ids), nodes)
 
 

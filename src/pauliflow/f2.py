@@ -64,12 +64,11 @@ def gauss(m: F2Matrix) -> Tuple[F2Matrix, int, List[int], List[int]]:
     return F2Matrix(rows, m.cols), r, pivots, record
 
 
-def solve(m: F2Matrix, b: Sequence[int]) -> Optional[Tuple[int, List[int]]]:
-    """Solve M x = b; return (particular solution, null-space basis) or None.
+def solve(m: F2Matrix, b: Sequence[int]) -> Optional[int]:
+    """Solve M x = b; return one solution or None.
 
     b may be a list of bits or an int mask over rows.  Free variables are
-    set to 0 in the particular solution; each basis vector sets exactly
-    one free variable to 1.
+    set to 0 in the solution; ``null_space`` gives the rest.
     """
     if isinstance(b, int):
         bmask = b
@@ -79,7 +78,7 @@ def solve(m: F2Matrix, b: Sequence[int]) -> Optional[Tuple[int, List[int]]]:
         bmask = sum(1 << i for i, v in enumerate(b) if v & 1)
     if blen != m.nrows:
         raise ValueError("right-hand side length does not match row count")
-    echelon, rank, pivots, record = gauss(m)
+    _, rank, pivots, record = gauss(m)
     rhs = [_parity(record[i] & bmask) for i in range(m.nrows)]
     for i in range(rank, m.nrows):
         if rhs[i]:
@@ -88,7 +87,7 @@ def solve(m: F2Matrix, b: Sequence[int]) -> Optional[Tuple[int, List[int]]]:
     for i, c in enumerate(pivots):
         if rhs[i]:
             x |= 1 << c
-    return x, _null_basis(echelon, rank, pivots)
+    return x
 
 
 def null_space(m: F2Matrix) -> List[int]:

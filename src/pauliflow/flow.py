@@ -314,10 +314,9 @@ def _solve_witness(ctx: _Ctx, u: int, a_mask: int, plane: str) -> Optional[int]:
         rows.append(_restrict(ctx.adj[w] ^ (1 << w), cols))
         rhs.append(0 if plane == "XY" else (nbr >> w) & 1)
 
-    sol = f2.solve(f2.F2Matrix(rows, len(cols)), rhs)
-    if sol is None:
+    x = f2.solve(f2.F2Matrix(rows, len(cols)), rhs)
+    if x is None:
         return None
-    x, _ = sol
     k = 0
     for j in f2.bits(x):
         k |= 1 << cols[j]
@@ -393,10 +392,6 @@ def _unfocussed(graph: LabelledOpenGraph, members: Iterable[str],
     bad.update(w for w in odd if lab.get(w) in ("XY", "X"))
     bad.update(w for w in members ^ odd if lab.get(w) == "Y")
     return bad
-
-
-def focussed_over_single(graph: LabelledOpenGraph, members: FrozenSet[str], w: str) -> bool:
-    return w not in _unfocussed(graph, members)
 
 
 def verify_focussed(graph: LabelledOpenGraph, members: Iterable[str],

@@ -218,5 +218,5 @@ class MeasurementPattern:
     def _pauli_pi(self) -> FrozenSet[str]:
         return frozenset(
             v for v in self.graph.measured
-            if self.graph.is_pauli(v) and self.angles[v] % 2 == 1
+            if self.graph.is_pauli(v) and self.angles[v] == 1
         )

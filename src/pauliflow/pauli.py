@@ -9,9 +9,10 @@ and commutation are set algebra, and ``bits`` is the one place a string
 becomes bit masks.  Letters appear only at the edges: the letter-map
 constructor, ``letters``/``letter``, ``format`` and ``parse_string``.
 
-Rotations ``(A, theta)`` denote the operator ``exp(i * theta/2 * A)``;
-angles are exact rational multiples of pi.  ``GATE_ROTATIONS`` is the one
-table from named gates to rotations.
+Rotations ``(A, theta)`` denote the operator ``exp(i * theta/2 * A)`` up to
+global phase; angles are exact rational multiples of pi, kept in [0, 2)
+(units of pi), since theta and theta + 2pi differ only by the phase -1.
+``GATE_ROTATIONS`` is the one table from named gates to rotations.
 """
 
 from __future__ import annotations
@@ -219,15 +220,12 @@ def parse_string(text: str) -> SignedPauliString:
 # -- rotations ----------------------------------------------------------
 
 
-def _norm_angle(angle: Fraction, period: int) -> Fraction:
-    return Fraction(angle) % period
-
-
 @dataclass(frozen=True)
 class Rotation:
-    """``exp(i * angle/2 * string)`` with angle an exact multiple of pi.
+    """``exp(i * angle/2 * string)`` up to global phase, with angle an exact
+    multiple of pi.
 
-    ``angle`` is stored in units of pi, normalized into [0, 4).  The string
+    ``angle`` is stored in units of pi, normalized into [0, 2).  The string
     phase must be +-1 so the operator is unitary.
     """
 
@@ -237,7 +235,7 @@ class Rotation:
     def __post_init__(self):
         if not self.string.is_hermitian():
             raise ValueError("rotation axis must have a +-1 phase")
-        object.__setattr__(self, "angle", _norm_angle(self.angle, 4))
+        object.__setattr__(self, "angle", Fraction(self.angle) % 2)
 
     def is_clifford(self) -> bool:
         """True iff the angle is a multiple of pi/2."""
@@ -247,10 +245,10 @@ class Rotation:
         return self.angle == 0 or self.string.is_identity_string()
 
     def equivalent(self, other: "Rotation") -> bool:
-        """Operator equality: (-P, theta) == (P, -theta) exactly."""
+        """Operator equality up to global phase: (-P, theta) == (P, -theta)."""
         if self.string == other.string and self.angle == other.angle:
             return True
-        return self.string == -other.string and self.angle == _norm_angle(-other.angle, 4)
+        return self.string == -other.string and self.angle + other.angle in (0, 2)
 
     def __str__(self):
         return f"({self.string}, {self.angle}*pi)"
@@ -267,7 +265,7 @@ def reorder_push(quarter: Rotation, b: SignedPauliString) -> SignedPauliString:
     a = quarter.string
     if commutes(a, b):
         return b
-    t = _norm_angle(quarter.angle, 2)
+    t = quarter.angle
     if t == 0:
         return b
     if t == 1:
@@ -292,7 +290,7 @@ def product_rotation(rot: Rotation, stab: SignedPauliString) -> Rotation:
     return Rotation(multiply(rot.string, stab), rot.angle)
 
 
-_HALF = Fraction(1, 2)
+HALF = Fraction(1, 2)
 
 
 def _rot(letters: Mapping, angle) -> Rotation:
@@ -303,15 +301,15 @@ def _rot(letters: Mapping, angle) -> Rotation:
 # up to global phase.  An entry takes the gate's qubits and then its angle
 # (units of pi), so a wrong qubit count raises TypeError.
 GATE_ROTATIONS = {
-    "CX": lambda c, t, a: [_rot({t: "X"}, _HALF), _rot({c: "Z"}, _HALF),
-                           _rot({c: "Z", t: "X"}, -_HALF)],
-    "CZ": lambda c, t, a: [_rot({t: "Z"}, _HALF), _rot({c: "Z"}, _HALF),
-                           _rot({c: "Z", t: "Z"}, -_HALF)],
-    "H": lambda q, a: [_rot({q: "Z"}, -_HALF), _rot({q: "X"}, -_HALF), _rot({q: "Z"}, -_HALF)],
+    "CX": lambda c, t, a: [_rot({t: "X"}, HALF), _rot({c: "Z"}, HALF),
+                           _rot({c: "Z", t: "X"}, -HALF)],
+    "CZ": lambda c, t, a: [_rot({t: "Z"}, HALF), _rot({c: "Z"}, HALF),
+                           _rot({c: "Z", t: "Z"}, -HALF)],
+    "H": lambda q, a: [_rot({q: "Z"}, -HALF), _rot({q: "X"}, -HALF), _rot({q: "Z"}, -HALF)],
     "RZ": lambda q, a: [_rot({q: "Z"}, -Fraction(a))],
     "RX": lambda q, a: [_rot({q: "X"}, -Fraction(a))],
-    "S": lambda q, a: [_rot({q: "Z"}, -_HALF)],
-    "Sdg": lambda q, a: [_rot({q: "Z"}, _HALF)],
+    "S": lambda q, a: [_rot({q: "Z"}, -HALF)],
+    "Sdg": lambda q, a: [_rot({q: "Z"}, HALF)],
     "X": lambda q, a: [_rot({q: "X"}, 1)],
     "Z": lambda q, a: [_rot({q: "Z"}, 1)],
 }

@@ -7,9 +7,6 @@ orient every anticommuting pair by list position, close transitively and
 take the Hasse diagram.  Any two linearizations of the same process give
 the same canonical DAG, which is what gets compared and serialized.
 
-Node angles live in [0, 2) (units of pi) since the represented map is
-only defined up to global phase.
-
 Synthesis completes the isometry tableau to a unitary one (each free row
 is the Z image of a fresh |0> wire, its X partner solved over GF(2)) and
 reduces it wire by wire to the identity with H, S, CX, X and Z.  The
@@ -32,6 +29,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from . import f2
 from .pauli import (
     GATE_ROTATIONS,
+    HALF,
     Rotation,
     SignedPauliString,
     commutes,
@@ -44,8 +42,6 @@ from .pauli import (
 
 
 # -- circuits ---------------------------------------------------------------
-
-HALF = Fraction(1, 2)
 
 GATE_NAMES = ("CZ", "CX", "H", "RZ", "RX", "S", "Sdg", "X", "Z", "INIT0", "EXP")
 
@@ -215,17 +211,6 @@ class IsometryTableau:
 # -- the DAG -----------------------------------------------------------------
 
 
-def node_rotation(string: SignedPauliString, angle: Fraction) -> Rotation:
-    return Rotation(string, Fraction(angle) % 2)
-
-
-def nodes_equivalent(a: Rotation, b: Rotation) -> bool:
-    """Node equality modulo the (-P, t) == (P, -t) identification, angles mod 2pi."""
-    if a.string == b.string and a.angle % 2 == b.angle % 2:
-        return True
-    return a.string == -b.string and a.angle % 2 == (-b.angle) % 2
-
-
 @dataclass(frozen=True)
 class Pddag:
     tableau: IsometryTableau
@@ -238,9 +223,7 @@ class Pddag:
         outs = frozenset(self.tableau.outputs)
         for rot in self.nodes.values():
             _check_row(rot.string, outs)
-        object.__setattr__(
-            self, "nodes", {i: node_rotation(r.string, r.angle) for i, r in self.nodes.items()}
-        )
+        object.__setattr__(self, "nodes", dict(self.nodes))
 
     # -- dependency structure ---------------------------------------------
 
@@ -293,7 +276,7 @@ class Pddag:
             return False
         if set(self.node_ids) != set(other.node_ids):
             return False
-        if not all(nodes_equivalent(self.nodes[i], other.nodes[i]) for i in self.node_ids):
+        if not all(self.nodes[i].equivalent(other.nodes[i]) for i in self.node_ids):
             return False
         return self.hasse() == other.hasse()
 
@@ -312,11 +295,11 @@ class Pddag:
             raise ValueError(f"nodes {j!r}, {k!r} have different strings")
         nodes = {i: r for i, r in self.nodes.items() if i != k}
         ids = tuple(i for i in self.node_ids if i != k)
-        if angle % 4 == 0:
+        if angle == 0:
             nodes.pop(j)
             ids = tuple(i for i in ids if i != j)
         else:
-            nodes[j] = node_rotation(a.string, angle)
+            nodes[j] = Rotation(a.string, angle)
         return Pddag(self.tableau, ids, nodes)
 
     def push_clifford_front(self, nid: str) -> "Pddag":
@@ -339,7 +322,7 @@ class Pddag:
         provenance "stabilizer" demands the string be in the free-row group;
         "pattern" trusts the caller (rewrites justified at the pattern level).
         """
-        if rotation.angle % 2 == 0:
+        if rotation.angle == 0:
             return self
         if provenance == "stabilizer":
             if self.tableau.free_combo(rotation.string) is None and \
@@ -353,7 +336,7 @@ class Pddag:
             if node_id is None or node_id in self.nodes:
                 raise ValueError("insert destination needs a fresh node id")
             nodes = self._transported(rotation, pos, pull=True)
-            nodes[node_id] = node_rotation(rotation.string, rotation.angle)
+            nodes[node_id] = rotation
             ids = self.node_ids[:pos] + (node_id,) + self.node_ids[pos:]
             return Pddag(tableau, ids, nodes)
         kind, target = destination
@@ -374,7 +357,7 @@ class Pddag:
             raise ValueError(
                 f"cannot merge {rotation.string} into node {target!r} carrying {dest_rot.string}"
             )
-        nodes[target] = node_rotation(dest_rot.string, angle)
+        nodes[target] = Rotation(dest_rot.string, angle)
         return Pddag(tableau, self.node_ids, nodes)
 
     def _transported(self, mover: Rotation, pos: int, pull: bool) -> Dict[str, Rotation]:
@@ -465,7 +448,7 @@ def circuit_to_rotations(circuit: Circuit) -> List[Rotation]:
             rots = [Rotation(gate.string, gate.angle)]
         else:
             rots = GATE_ROTATIONS[gate.name](*gate.qubits, gate.angle)
-        out.extend(r for r in rots if r.angle % 2 != 0 and not r.string.is_identity_string())
+        out.extend(r for r in rots if not r.is_identity())
     return out
 
 
@@ -484,7 +467,7 @@ def unitary_pddag_from_circuit(circuit: Circuit) -> Pddag:
     if circuit.init_wires:
         raise ValueError("circuit is not unitary")
     rots = circuit_to_rotations(circuit)
-    nodes = [(f"n{i}", node_rotation(r.string, r.angle)) for i, r in enumerate(rots)]
+    nodes = [(f"n{i}", r) for i, r in enumerate(rots)]
     return build_pddag(identity_tableau(range(circuit.n_wires)), nodes)
 
 
@@ -502,7 +485,7 @@ def canonicalize_angles(dag: Pddag) -> Pddag:
     dag = push_clifford_nodes(dag)
     while True:
         target = next(
-            (i for i in dag.node_ids if dag.nodes[i].angle % 2 >= HALF), None
+            (i for i in dag.node_ids if dag.nodes[i].angle >= HALF), None
         )
         if target is None:
             return dag
@@ -514,7 +497,7 @@ def canonicalize_angles(dag: Pddag) -> Pddag:
             nodes.pop(target)
             ids = tuple(i for i in dag.node_ids if i != target)
         else:
-            nodes[target] = node_rotation(rot.string, residue)
+            nodes[target] = Rotation(rot.string, residue)
             ids = dag.node_ids
         dag = Pddag(dag.tableau.conjugated(mover, pull=False), ids, nodes)
 
@@ -544,8 +527,8 @@ def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], Li
         sol = f2.solve(f2.F2Matrix(rows, 2 * n), rhs)
         if sol is None:
             raise ValueError("tableau rows violate symplectic constraints")
-        xbits = sol[0] & ((1 << n) - 1)
-        zbits = sol[0] >> n
+        xbits = sol & ((1 << n) - 1)
+        zbits = sol >> n
         partner = SignedPauliString.from_xz(f2.bits(xbits), f2.bits(zbits))
         z_out.append(zrow)
         x_out.append(partner)
@@ -677,7 +660,7 @@ def synthesize(pddag: Pddag, lower_exp: bool = False) -> Circuit:
     gates += clifford_circuit_from_rows(z_out, x_out)
     for nid in pddag.node_ids:
         rot = pddag.nodes[nid]
-        if rot.is_identity() or rot.angle % 2 == 0:
+        if rot.is_identity():
             continue
         wire_string = rot.string.relabelled(wire)
         exp = Gate("EXP", tuple(sorted(wire_string.support)), angle=rot.angle, string=wire_string)

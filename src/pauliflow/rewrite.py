@@ -10,7 +10,6 @@ node-for-node and row-for-row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .extract import (
@@ -27,10 +26,8 @@ from .flow import (
     verify_flow,
 )
 from .graph import LabelledOpenGraph, MeasurementPattern, TrailingGate
-from .pauli import Rotation, single
+from .pauli import HALF, Rotation, single
 from .pddag import Pddag
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ def relabel_pauli(pattern: MeasurementPattern, flow: PauliFlowData,
     quarter = alpha % 1 == HALF
     label, update = _RELABEL[(g.labels[u], 1 if quarter else 0)]
     angles = dict(pattern.angles)
-    angles[u] = update(alpha) % 2
+    angles[u] = update(alpha)
     pattern2 = pattern.with_graph(g.relabel(u, label), angles=angles)
 
     def shifted(s):
@@ -139,7 +136,7 @@ def eliminate_z(pattern: MeasurementPattern, flow: PauliFlowData,
             av = av + a
         elif v in nbrs and g.labels[v] in ("XZ", "YZ"):
             av = av * (-1) ** a
-        angles[v] = av % 2
+        angles[v] = av
     out_nbrs = sorted(nbrs & g.outputs)
     new_gates = [TrailingGate(n, "Z") for n in out_nbrs] if a else []
     trailing = new_gates + list(pattern.trailing)
@@ -220,12 +217,12 @@ def _lc_updates(pattern: MeasurementPattern, flow: PauliFlowData,
     if u in g.measured:
         new_label, upd = _LC_CENTER[direction][g.labels[u]]
         labels[u] = new_label
-        angles[u] = upd(pattern.angles[u]) % 2
+        angles[u] = upd(pattern.angles[u])
     for w in nbrs:
         if w in g.measured:
             new_label, upd = _LC_NEIGHBOUR[direction][g.labels[w]]
             labels[w] = new_label
-            angles[w] = upd(pattern.angles[w]) % 2
+            angles[w] = upd(pattern.angles[w])
     graph2 = LabelledOpenGraph(g.vertices, g.local_complement(u).edges,
                                g.inputs, g.outputs, labels)
     out_nbrs = sorted(nbrs & g.outputs)

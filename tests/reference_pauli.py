@@ -109,5 +109,5 @@ def complete_tableau(tab):
         rhs = [0] * (len(z_out) + len(x_out)) + [int(i == j) for i in range(len(free))]
         sol = f2.solve(f2.F2Matrix(rows, 2 * n), rhs)
         z_out.append(zrow)
-        x_out.append(bits_to_string(sol[0] & ((1 << n) - 1), sol[0] >> n))
+        x_out.append(bits_to_string(sol & ((1 << n) - 1), sol >> n))
     return z_out, x_out

@@ -277,6 +277,28 @@ def test_malformed_flow_exit_2(tmp_path, capsys, mutate, path):
     assert schema_error_path(capsys, "flow", "verify", write(tmp_path, "p.json", doc)) == path
 
 
+@pytest.mark.parametrize("field, value, path", [
+    ("trailing", 5, "/trailing"),
+    ("trailing", [{"qubit": ["o1"], "gate": "Z"}], "/trailing/0/qubit"),
+    ("fsets", 3, "/fsets"),
+    ("fsets", [], "/fsets"),
+    ("fsets", [["zzz"]], "/fsets/0"),
+    ("fsets", [["o1", "o2"]], "/fsets/0"),
+    ("fsets", [["c", "d", "i", "o1"]], "/fsets/0"),
+], ids=["int-trailing", "list-qubit", "int-fsets", "no-fsets", "non-vertex", "unfocussed",
+        "input-member"])
+@pytest.mark.parametrize("command", [("extract",), ("synth",), ("rewrite", "lc")])
+def test_malformed_trailing_and_fsets_exit_2(tmp_path, capsys, field, value, path, command):
+    # these used to end in a traceback, in exit 1, or (the unfocussed set)
+    # in a circuit unequal to the pattern
+    doc = worked_doc()
+    doc[field] = value
+    argv = [*command, write(tmp_path, "p.json", doc)]
+    if command[0] == "rewrite":
+        argv += ["--at", "a"]
+    assert schema_error_path(capsys, *argv) == path
+
+
 def _set_free_row(doc):
     doc["tableau"]["free"][0] = 3
 

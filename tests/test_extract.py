@@ -117,6 +117,13 @@ def test_extract_worked_example_with_found_flow(worked_pattern):
         pddag_semantics(dag), pattern_semantics(worked_pattern), 1e-9)
 
 
+def test_extract_rejects_unfocussed_fset():
+    # {o1, o2} gives a stabilizer row the isometry lacks; it used to compile
+    # to a circuit the oracle finds unequal to the pattern
+    with pytest.raises(ValueError, match="not focussed"):
+        extract_pddag(worked_example(), worked_example_flow(), [frozenset({"o1", "o2"})])
+
+
 def test_extract_measured_v0_identity_string(v0_pattern, v0_flow):
     dag = extract_pddag(v0_pattern, v0_flow)
     # b's primary extraction string is the identity: the measurement angle

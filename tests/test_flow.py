@@ -362,7 +362,7 @@ def test_even_overlap_invariant():
 def test_add_not_focussed_combination():
     """Two sets unfocussed over the same vertex combine to a focussed one."""
     rng = random.Random(26)
-    from pauliflow.flow import focussed_over_single
+    from pauliflow.flow import verify_focussed
 
     hits = 0
     for _ in range(60):
@@ -371,9 +371,9 @@ def test_add_not_focussed_combination():
         measured = sorted(g.measured)
         for v in measured:
             bad = [flow.p[w] for w in measured
-                   if not focussed_over_single(g, flow.p[w], v)]
+                   if not verify_focussed(g, flow.p[w], [v])]
             for i in range(len(bad)):
                 for j in range(i + 1, len(bad)):
-                    assert focussed_over_single(g, bad[i] ^ bad[j], v)
+                    assert verify_focussed(g, bad[i] ^ bad[j], [v])
                     hits += 1
     assert hits >= 20

@@ -234,12 +234,25 @@ def test_product_rotation_rejects_anticommuting():
 
 def test_rotation_normalization_and_equivalence():
     r1 = Rotation(single("q", "Z"), F(-1, 2))
-    assert r1.angle == F(7, 2)
+    assert r1.angle == F(3, 2)
     r2 = Rotation(-single("q", "Z"), F(1, 2))
     assert r1.equivalent(r2)
     assert not r1.equivalent(Rotation(single("q", "Z"), F(1, 2)))
     with pytest.raises(ValueError):
         Rotation(SignedPauliString({"q": "Z"}, 1), F(1, 2))
+
+
+def test_rotation_angle_range_up_to_phase():
+    rng = random.Random(5)
+    qubits = ["a", "b"]
+    for _ in range(200):
+        string = SignedPauliString(random_string(rng, qubits).letters, rng.choice((0, 2)))
+        angle = F(rng.randrange(-40, 40), rng.choice((1, 2, 3, 4, 8)))
+        rot = Rotation(string, angle)
+        assert 0 <= rot.angle < 2
+        assert rot == Rotation(string, angle + 2 * rng.randrange(-3, 4))
+        assert up_to_phase(rotation_matrix(string, rot.angle, qubits),
+                           rotation_matrix(string, angle, qubits))
 
 
 def test_parse_format_roundtrip():

@@ -22,7 +22,6 @@ from pauliflow.pddag import (
     canonicalize_angles,
     clifford_circuit_from_rows,
     identity_tableau,
-    node_rotation,
     push_clifford_nodes,
     synthesize,
     unitary_pddag_from_circuit,
@@ -130,7 +129,7 @@ def test_synthesize_empty_identity():
 
 def test_synthesize_single_rz():
     dag = build_pddag(
-        identity_tableau([0]), [("n", node_rotation(single(0, "Z"), F(1, 3)))])
+        identity_tableau([0]), [("n", Rotation(single(0, "Z"), F(1, 3)))])
     got = circuit_semantics(synthesize(dag, lower_exp=True))
     want = circuit_semantics(Circuit(1, (Gate("RZ", (0,), angle=F(-1, 3)),)))
     assert equal_up_to_phase(got, want, 1e-9)
@@ -147,7 +146,7 @@ def test_lowered_exp_matches_abstract():
         string = SignedPauliString(letters, rng.choice((0, 2)))
         angle = F(rng.randrange(1, 8), 4)
         dag = build_pddag(identity_tableau(range(n)),
-                          [("n", node_rotation(string, angle))])
+                          [("n", Rotation(string, angle))])
         a = circuit_semantics(synthesize(dag, lower_exp=False))
         b = circuit_semantics(synthesize(dag, lower_exp=True))
         assert equal_up_to_phase(a, b, 1e-9)
@@ -158,18 +157,18 @@ def test_lowered_exp_matches_abstract():
 
 def test_all_commuting_empty_dag():
     dag = build_pddag(identity_tableau(range(2)), [
-        ("a", node_rotation(single(0, "Z"), F(1, 3))),
-        ("b", node_rotation(single(1, "X"), F(1, 5))),
-        ("c", node_rotation(single(0, "Z"), F(1, 7))),
+        ("a", Rotation(single(0, "Z"), F(1, 3))),
+        ("b", Rotation(single(1, "X"), F(1, 5))),
+        ("c", Rotation(single(0, "Z"), F(1, 7))),
     ])
     assert dag.hasse() == frozenset()
 
 
 def test_alternating_chain():
     dag = build_pddag(identity_tableau([0]), [
-        ("a", node_rotation(single(0, "X"), F(1, 3))),
-        ("b", node_rotation(single(0, "Z"), F(1, 5))),
-        ("c", node_rotation(single(0, "X"), F(1, 7))),
+        ("a", Rotation(single(0, "X"), F(1, 3))),
+        ("b", Rotation(single(0, "Z"), F(1, 5))),
+        ("c", Rotation(single(0, "X"), F(1, 7))),
     ])
     assert dag.hasse() == {("a", "b"), ("b", "c")}
     assert dag.partial_order() == {("a", "b"), ("b", "c"), ("a", "c")}
@@ -183,7 +182,7 @@ def test_deps_order_stable_across_linearizations():
         for i in range(rng.randrange(2, 7)):
             letters = {k: rng.choice("IXYZ") for k in range(n)}
             letters = {k: l for k, l in letters.items() if l != "I"}
-            nodes.append((f"n{i}", node_rotation(
+            nodes.append((f"n{i}", Rotation(
                 SignedPauliString(letters, 0), F(rng.randrange(1, 8), 4))))
         dag = build_pddag(identity_tableau(range(n)), nodes)
         po = dag.partial_order()
@@ -201,6 +200,12 @@ def test_deps_order_stable_across_linearizations():
             assert other.hasse() == dag.hasse()
 
 
+def test_pddag_keeps_the_given_rotations():
+    rots = {"a": Rotation(single(0, "X"), F(1, 3)), "b": Rotation(single(0, "Z"), F(7, 4))}
+    dag = Pddag(identity_tableau([0]), ("a", "b"), rots)
+    assert all(dag.nodes[i] is rots[i] for i in rots)
+
+
 # -- rewrites --------------------------------------------------------------------
 
 
@@ -212,17 +217,17 @@ def two_wire_fixture():
         (from_letter_map({"x": "Z", "y": "X"}),),
     )
     return build_pddag(tab, [
-        ("p", node_rotation(from_letter_map({"x": "Z"}), F(1, 2))),
-        ("q", node_rotation(from_letter_map({"x": "X", "y": "Y"}), F(1, 3))),
-        ("r", node_rotation(from_letter_map({"x": "Z"}), F(1, 2))),
+        ("p", Rotation(from_letter_map({"x": "Z"}), F(1, 2))),
+        ("q", Rotation(from_letter_map({"x": "X", "y": "Y"}), F(1, 3))),
+        ("r", Rotation(from_letter_map({"x": "Z"}), F(1, 2))),
     ])
 
 
 def test_merge_nodes():
     dag = build_pddag(identity_tableau(range(2)), [
-        ("a", node_rotation(single(0, "X"), F(1, 3))),
-        ("b", node_rotation(single(1, "Z"), F(1, 5))),
-        ("c", node_rotation(single(0, "X"), F(1, 7))),
+        ("a", Rotation(single(0, "X"), F(1, 3))),
+        ("b", Rotation(single(1, "Z"), F(1, 5))),
+        ("c", Rotation(single(0, "X"), F(1, 7))),
     ])
     merged = dag.merge_nodes("a", "c")
     assert set(merged.node_ids) == {"a", "b"}
@@ -232,18 +237,28 @@ def test_merge_nodes():
 
 def test_merge_opposite_sign_subtracts():
     dag = build_pddag(identity_tableau([0]), [
-        ("a", node_rotation(single(0, "X"), F(1, 3))),
-        ("b", node_rotation(-single(0, "X"), F(1, 3))),
+        ("a", Rotation(single(0, "X"), F(1, 3))),
+        ("b", Rotation(-single(0, "X"), F(1, 3))),
     ])
     merged = dag.merge_nodes("a", "b")
     assert merged.node_ids == ()  # angles cancel to an identity rotation
 
 
+def test_merge_to_a_full_turn_keeps_the_node():
+    dag = build_pddag(identity_tableau([0]), [
+        ("a", Rotation(single(0, "X"), F(3, 2))),
+        ("b", Rotation(single(0, "X"), F(1, 2))),
+    ])
+    merged = dag.merge_nodes("a", "b")
+    assert merged.node_ids == ("a",)
+    assert merged.nodes["a"].angle == 0
+
+
 def test_merge_blocked_by_path():
     dag = build_pddag(identity_tableau([0]), [
-        ("a", node_rotation(single(0, "X"), F(1, 3))),
-        ("b", node_rotation(single(0, "Z"), F(1, 5))),
-        ("c", node_rotation(single(0, "X"), F(1, 7))),
+        ("a", Rotation(single(0, "X"), F(1, 3))),
+        ("b", Rotation(single(0, "Z"), F(1, 5))),
+        ("c", Rotation(single(0, "X"), F(1, 7))),
     ])
     with pytest.raises(ValueError):
         dag.merge_nodes("a", "c")
@@ -267,8 +282,8 @@ def test_push_clifford_front_oracle():
 
 def test_push_identity_angle_node():
     dag = build_pddag(identity_tableau([0]), [
-        ("a", node_rotation(single(0, "X"), F(0))),
-        ("b", node_rotation(single(0, "Z"), F(1, 5))),
+        ("a", Rotation(single(0, "X"), F(0))),
+        ("b", Rotation(single(0, "Z"), F(1, 5))),
     ])
     pushed = dag.push_clifford_front("a")
     assert set(pushed.node_ids) == {"b"}
@@ -326,8 +341,8 @@ def test_stabilizer_rewrite_blocked():
     tab = IsometryTableau(
         (), ("x", "y"), {}, {}, (single("x", "Z"), single("y", "Z")))
     dag = build_pddag(tab, [
-        ("a", node_rotation(single("x", "X"), F(1, 3))),
-        ("b", node_rotation(from_letter_map({"x": "X", "y": "X"}), F(1, 5))),
+        ("a", Rotation(single("x", "X"), F(1, 3))),
+        ("b", Rotation(from_letter_map({"x": "X", "y": "X"}), F(1, 5))),
     ])
     # Z(x) anticommutes with a's X(x), and a is before b
     with pytest.raises(ValueError):
@@ -336,10 +351,10 @@ def test_stabilizer_rewrite_blocked():
 
 def test_canonicalize_angles():
     dag = build_pddag(identity_tableau(range(2)), [
-        ("a", node_rotation(single(0, "Z"), F(7, 5))),
-        ("b", node_rotation(single(0, "X"), F(1, 2))),
-        ("c", node_rotation(single(1, "Z"), F(9, 8))),
-        ("d", node_rotation(single(0, "Y"), F(3, 4))),
+        ("a", Rotation(single(0, "Z"), F(7, 5))),
+        ("b", Rotation(single(0, "X"), F(1, 2))),
+        ("c", Rotation(single(1, "Z"), F(9, 8))),
+        ("d", Rotation(single(0, "Y"), F(3, 4))),
     ])
     canon = canonicalize_angles(dag)
     for rot in canon.nodes.values():
@@ -374,14 +389,14 @@ def two_wire_circuit(a=TWO_WIRE_ANGLES):
 def two_wire_expected_nodes(a=TWO_WIRE_ANGLES):
     yx = from_letter_map({0: "Y", 1: "X"})
     return {
-        0: node_rotation(single(0, "Z"), -a[0]),
-        1: node_rotation(single(1, "Z"), -a[1]),
-        2: node_rotation(single(0, "X"), a[2]),
-        3: node_rotation(yx, -a[3]),
-        4: node_rotation(single(1, "X"), a[4]),
-        5: node_rotation(yx, -a[5]),
-        6: node_rotation(single(0, "Z"), -a[6]),
-        7: node_rotation(single(1, "Y"), -a[7]),
+        0: Rotation(single(0, "Z"), -a[0]),
+        1: Rotation(single(1, "Z"), -a[1]),
+        2: Rotation(single(0, "X"), a[2]),
+        3: Rotation(yx, -a[3]),
+        4: Rotation(single(1, "X"), a[4]),
+        5: Rotation(yx, -a[5]),
+        6: Rotation(single(0, "Z"), -a[6]),
+        7: Rotation(single(1, "Y"), -a[7]),
     }
 
 
@@ -437,7 +452,7 @@ def test_fig2_merge_and_chain():
     merged = dag.merge_nodes(inv[3], inv[5])
     assert len(merged.node_ids) == 7
     assert merged.nodes[inv[3]].equivalent(
-        node_rotation(from_letter_map({0: "Y", 1: "X"}), -TWO_WIRE_ANGLES[3] - TWO_WIRE_ANGLES[5]))
+        Rotation(from_letter_map({0: "Y", 1: "X"}), -TWO_WIRE_ANGLES[3] - TWO_WIRE_ANGLES[5]))
     assert equal_up_to_phase(pddag_semantics(merged), pddag_semantics(dag), 1e-9)
     # alpha1 -> alpha4 -> alpha7 chain present
     assert (inv[1], inv[4]) in po and (inv[4], inv[7]) in po
@@ -477,7 +492,7 @@ def test_random_mutations_oracle_equal():
         for i in range(rng.randrange(1, 6)):
             letters = {k: rng.choice("IXYZ") for k in wires}
             letters = {k: l for k, l in letters.items() if l != "I"}
-            nodes.append((f"n{i}", node_rotation(
+            nodes.append((f"n{i}", Rotation(
                 SignedPauliString(letters, rng.choice((0, 2))),
                 F(rng.randrange(0, 16), 8))))
         dag = build_pddag(tab, nodes)

@@ -22,7 +22,7 @@ from pauliflow.flow import (
 from pauliflow.graph import MeasurementPattern, TrailingGate
 from pauliflow.oracle import equal_up_to_phase, pattern_semantics, pddag_semantics
 from pauliflow.pauli import Rotation, from_letter_map, single
-from pauliflow.pddag import Pddag, node_rotation
+from pauliflow.pddag import Pddag
 from pauliflow.rewrite import (
     eliminate_z,
     local_complement_pattern,
@@ -101,7 +101,7 @@ def test_relabel_a_node_sign_oracle_confirmed():
                            [worked_example_fset()], "c")
     dag = report.pddag_via_simulation
     flipped_nodes = dict(dag.nodes)
-    flipped_nodes["a"] = node_rotation(-dag.nodes["a"].string, dag.nodes["a"].angle)
+    flipped_nodes["a"] = Rotation(-dag.nodes["a"].string, dag.nodes["a"].angle)
     flipped = Pddag(dag.tableau, dag.node_ids, flipped_nodes)
     want = pattern_semantics(report.pattern_after)
     assert equal_up_to_phase(pddag_semantics(dag), want, 1e-9)
@@ -284,7 +284,7 @@ def test_local_complement_d_worked_example(a_d):
     assert step1.nodes["a"].string == from_letter_map({"o1": "Z", "o2": "X"}, sgn(a_d + 1))
     assert step1.nodes["b"].string == from_letter_map({"o1": "Y", "o2": "Z"}, sgn(a_d + 1))
     assert step1.nodes["c"].string == from_letter_map({"o1": "X"})
-    assert step1.nodes["t:0"] == node_rotation(single("o2", "Z"), F(1, 2))
+    assert step1.nodes["t:0"] == Rotation(single("o2", "Z"), F(1, 2))
     assert step1.tableau.x_rows["i"] == from_letter_map({"o1": "Y", "o2": "Z"}, sgn(a_d + 1))
     assert step1.tableau.z_rows["i"] == from_letter_map({"o2": "Y"})
     assert step1.tableau.free_rows[0] == from_letter_map({"o1": "Z", "o2": "Y"})
@@ -305,9 +305,9 @@ def test_local_complement_d_worked_example(a_d):
     assert dag.nodes["a"].angle == pattern.angles["a"]
     assert dag.nodes["b"].string == from_letter_map({"o1": "Z", "o2": "Z"}, sgn(a_d + 1))
     assert dag.nodes["b"].angle == (pattern.angles["b"] + F(1, 2)) % 2
-    assert dag.nodes["c"] == node_rotation(from_letter_map({"o1": "X"}),
-                                           (pattern.angles["c"] + F(1, 2)) % 2)
-    assert dag.nodes["t:0"] == node_rotation(single("o2", "Z"), F(1, 2))
+    assert dag.nodes["c"] == Rotation(from_letter_map({"o1": "X"}),
+                                      (pattern.angles["c"] + F(1, 2)) % 2)
+    assert dag.nodes["t:0"] == Rotation(single("o2", "Z"), F(1, 2))
     tab = dag.tableau
     assert tab.x_rows["i"] == from_letter_map({"o1": "Z", "o2": "Z"}, sgn(a_d + 1))
     assert tab.z_rows["i"] == from_letter_map({"o1": "Z", "o2": "X"}, sgn(a_d))
