@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import extract as extract_mod
+from . import f2
 from . import flow as flow_mod
 from . import oracle as oracle_mod
 from . import rewrite as rewrite_mod
@@ -157,7 +158,7 @@ def parse_pattern_document(doc, float_angles: bool = False):
 
 
 def parse_fsets(obj, graph: LabelledOpenGraph) -> List[frozenset]:
-    """Parse |O| - |I| focussed sets, each focussed over the measured vertices."""
+    """Parse |O| - |I| independent focussed sets, focussed over the measured vertices."""
     expected = len(graph.outputs) - len(graph.inputs)
     if not isinstance(obj, list) or len(obj) != expected:
         raise SchemaError("/fsets", f"expected a list of |O| - |I| = {expected} sets")
@@ -169,6 +170,9 @@ def parse_fsets(obj, graph: LabelledOpenGraph) -> List[frozenset]:
         if not flow_mod.verify_focussed(graph, members, graph.measured):
             raise SchemaError(f"/fsets/{i}", "not focussed over the measured vertices")
         fsets.append(members)
+    masks = [graph.bit_view.mask(fs) for fs in fsets]
+    if f2.rank(f2.F2Matrix(masks, len(graph.vertices))) < len(masks):
+        raise SchemaError("/fsets", "the sets are dependent over GF(2)")
     return fsets
 
 
@@ -357,7 +361,31 @@ def parse_circuit(doc) -> Circuit:
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, byte for
+    byte.  Dicts with str keys, lists and ``_LEAF`` types are written here
+    (str by the C ``encode_basestring_ascii``, a list of one leaf type in one
+    join); anything else (floats, tuples, non-str keys) by ``json.dumps``."""
+    return _encode(doc, "\n") + "\n"
+
+
+_LEAF = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+         bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _encode(obj, nl: str) -> str:
+    """obj as JSON text; nl is a newline plus the indent of obj's line."""
+    kind = type(obj)
+    if kind in _LEAF:
+        return _LEAF[kind](obj)
+    inner = nl + "  "
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        return "{" + inner + ("," + inner).join(
+            [_LEAF[str](k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]) + nl + "}"
+    if kind is list and obj:
+        leaf = _LEAF.get(type(obj[0])) if len(set(map(type, obj))) == 1 else None
+        body = map(leaf, obj) if leaf else [_encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -395,21 +423,15 @@ def cmd_flow(args) -> int:
     pattern, flow, _ = parse_pattern_document(_load(args.file), args.float_angles)
     g = pattern.graph
     if args.action == "find":
-        found, stuck = flow_mod.find_pauli_flow_detailed(g)
-        if found is None:
-            raise flow_mod.NoPauliFlowError(stuck)
-        flow = found
+        flow = _need_flow(pattern, None)
     elif args.action == "focus":
         flow = flow_mod.focus_flow(g, _need_flow(pattern, flow))
     else:  # verify
         if flow is None:
             raise SchemaError("/flow", "document carries no flow to verify")
         violations = flow_mod.verify_flow(g, flow)
-        if violations:
-            _emit({"violations": [{"vertex": v, "condition": c} for v, c in violations]})
-            return 1
-        _emit({"violations": []})
-        return 0
+        _emit({"violations": [{"vertex": v, "condition": c} for v, c in violations]})
+        return 1 if violations else 0
     if args.format == "table":
         sys.stdout.write(_flow_table(flow, g))
     else:
@@ -605,23 +627,19 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except flow_mod.NoPauliFlowError as exc:
-        sys.stderr.write(dumps({"error": "no-pauli-flow", "stuck": sorted(exc.stuck)}))
-        return 1
+        error, code = {"error": "no-pauli-flow", "stuck": sorted(exc.stuck)}, 1
     except SchemaError as exc:
-        sys.stderr.write(dumps({"error": "schema", "path": exc.path, "message": str(exc)}))
-        return 2
+        error, code = {"error": "schema", "path": exc.path, "message": str(exc)}, 2
     except flow_mod.FlowFormatError as exc:
-        sys.stderr.write(dumps({"error": "schema", "path": "/flow", "message": str(exc)}))
-        return 2
+        error, code = {"error": "schema", "path": "/flow", "message": str(exc)}, 2
     except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(dumps({"error": "io", "message": str(exc)}))
-        return 2
+        error, code = {"error": "io", "message": str(exc)}, 2
     except oracle_mod.QubitCapExceeded as exc:
-        sys.stderr.write(dumps({"error": "cap", "message": str(exc)}))
-        return 2
+        error, code = {"error": "cap", "message": str(exc)}, 2
     except ValueError as exc:
-        sys.stderr.write(dumps({"error": "value", "message": str(exc)}))
-        return 1
+        error, code = {"error": "value", "message": str(exc)}, 1
+    sys.stderr.write(dumps(error))
+    return code
 
 
 def main() -> None:

@@ -26,7 +26,7 @@ from .flow import (
     verify_flow,
     verify_focussed,
 )
-from .graph import LabelledOpenGraph, MeasurementPattern, TrailingGate
+from .graph import BitView, LabelledOpenGraph, MeasurementPattern, TrailingGate
 from .pauli import GATE_ROTATIONS, Rotation, SignedPauliString, single
 from .pddag import Circuit, IsometryTableau, Pddag, build_pddag, synthesize
 
@@ -38,10 +38,6 @@ class ExtractionString:
     axis: Optional[str]  # X/Y/Z for primary strings, None for focussed sets
     string: SignedPauliString  # sign carried in the string phase
 
-    @property
-    def sign(self) -> int:
-        return self.string.sign
-
 
 # Pauli on a vertex by its membership of (a set, the set's odd neighbourhood)
 _AXIS = {(True, False): "X", (True, True): "Y", (False, True): "Z"}
@@ -49,8 +45,13 @@ _AXIS = {(True, False): "X", (True, True): "Y", (False, True): "Z"}
 
 def primary_axis(graph: LabelledOpenGraph, flow: PauliFlowData, v: str) -> str:
     """X / Y / Z by membership of v in p(v) and Odd(p(v))."""
-    p = flow.p[v]
-    axis = _AXIS.get((v in p, v in graph.odd_neighbourhood(p)))
+    p = graph.bit_view.mask(flow.p[v])
+    return _axis(graph.bit_view, v, p, graph.bit_view.odd(p))
+
+
+def _axis(bv: BitView, v: str, p: int, odd: int) -> str:
+    b = bv.bit.get(v, 0)
+    axis = _AXIS.get((p & b != 0, odd & b != 0))
     if axis is None:
         raise ValueError(f"{v!r} is in neither its correction set nor its odd neighbourhood")
     return axis
@@ -58,23 +59,19 @@ def primary_axis(graph: LabelledOpenGraph, flow: PauliFlowData, v: str) -> str:
 
 def extraction_string(pattern: MeasurementPattern, flow_or_fset, v: Optional[str] = None) -> ExtractionString:
     """Primary extraction string of a vertex, or the stabilizer of a focussed set."""
-    g = pattern.graph
-    if v is not None:
-        flow: PauliFlowData = flow_or_fset
-        members = flow.p[v]
-        axis = primary_axis(g, flow, v)
-    else:
-        members = frozenset(flow_or_fset)
-        axis = None
+    bv = pattern.graph.bit_view
+    members = bv.mask(flow_or_fset.p[v] if v is not None else flow_or_fset)
+    odd = bv.odd(members)
+    axis = _axis(bv, v, members, odd) if v is not None else None
     # sign: one flip per edge inside the set, per Y pair, per absorbed
     # Pauli measurement at angle pi (other than v itself)
-    odd = g.odd_neighbourhood(members)
-    overlap = members & odd
-    if len(overlap) % 2:
+    overlap = (members & odd).bit_count()
+    if overlap % 2:
         raise ValueError("correction set overlaps its odd neighbourhood oddly")
-    pauli_pi = pattern.pauli_pi_vertices() - {v}
-    c = g.edges_inside(members) + len(overlap) // 2 + len((members | odd) & pauli_pi)
-    string = SignedPauliString.from_xz(members & g.outputs, odd & g.outputs, 2 * (c % 2))
+    pauli_pi = bv.mask(pattern.pauli_pi_vertices() - {v})
+    c = bv.edges_inside(members) + overlap // 2 + ((members | odd) & pauli_pi).bit_count()
+    string = SignedPauliString.from_xz(bv.unmask(members & bv.outputs),
+                                       bv.unmask(odd & bv.outputs), 2 * (c % 2))
     return ExtractionString(axis, string)
 
 
@@ -89,11 +86,10 @@ def _extend_all_inputs(pattern: MeasurementPattern, flow: PauliFlowData):
     extra = []
     ext: Dict[str, str] = {}
     for u in sorted(pattern.graph.inputs):
-        nbrs = g.neighbours(u)
         g, new = g.input_extend(u)
         angles[new] = Fraction(0)
         p[new] = frozenset({u})
-        extra += [(new, w) for w in nbrs | {u}]
+        extra += [(new, w) for w in pattern.graph.neighbours(u) | {u}]  # new ties only to u
         ext[u] = new
     new_pattern = pattern.with_graph(g, angles=angles, trailing=())
     new_flow = PauliFlowData(p, flow.order.extended(pattern.graph.vertices, extra))
@@ -130,7 +126,8 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
     if fsets is None:
         fsets = focussed_set_generators(g)
     else:
-        bad = [sorted(fs) for fs in fsets if not verify_focussed(g, fs, g.measured)]
+        bad = [sorted(fs) for fs in fsets
+               if not g.vertices.issuperset(fs) or not verify_focussed(g, fs, g.measured)]
         if bad:
             raise ValueError(f"supplied focussed sets are not focussed: {bad}")
 
@@ -141,10 +138,8 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
     # into real rotations and back.
     nodes: List[Tuple[str, Rotation]] = []
     for v in temporal:
-        ext = extraction_string(pattern, flow, v)
-        d = 1 if g.labels[v] == "YZ" else 0
-        string = -ext.string if d else ext.string
-        nodes.append((v, Rotation(string, pattern.angles[v])))
+        string = extraction_string(pattern, flow, v).string
+        nodes.append((v, Rotation(-string if g.labels[v] == "YZ" else string, pattern.angles[v])))
 
     # Tableau rows.
     epattern, eflow, ext_ids = _extend_all_inputs(pattern, flow)

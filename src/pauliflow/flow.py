@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import f2
-from .graph import LabelledOpenGraph, PAULI_LABELS, PLANAR_LABELS
+from .graph import BitView, LabelledOpenGraph, PAULI_LABELS, PLANAR_LABELS
 
 
 class FlowFormatError(ValueError):
@@ -236,23 +236,27 @@ _PF_SELF = {
 
 
 def verify_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> List[Tuple[str, str]]:
-    """Return all (vertex, condition) violations of the nine flow conditions."""
+    """Return all (vertex, condition) violations of the nine flow conditions,
+    as mask tests over the order's listing followed by the graph vertices it
+    lacks: ``succ`` of u holds the vertices after u, ``free`` the others."""
     _check_shape(graph, flow)
+    order = flow.order
+    bv = BitView(graph, order.verts + tuple(sorted(graph.vertices - order.index.keys())))
+    lab = bv.label
     out: List[Tuple[str, str]] = []
-    lab = graph.labels
-    before = flow.order.precedes
-    ys = [v for v in graph.measured if lab[v] == "Y"]
     for u in sorted(graph.measured):
-        p = flow.p[u]
-        odd = graph.odd_neighbourhood(p)
-        if any(v != u and lab.get(v) not in ("X", "Y") and not before(u, v) for v in p):
+        ubit = bv.bit[u]
+        p = bv.mask(flow.p[u])
+        odd = bv.odd(p)
+        free = ~(ubit | (order.succ[order.index[u]] if u in order.index else 0))
+        if p & free & ~(lab["X"] | lab["Y"]):
             out.append((u, "PF1"))
-        if any(v != u and lab.get(v) not in ("Y", "Z") and not before(u, v) for v in odd):
+        if odd & free & ~(lab["Y"] | lab["Z"]):
             out.append((u, "PF2"))
-        if any(v != u and not before(u, v) and (v in p) != (v in odd) for v in ys):
+        if lab["Y"] & free & (p ^ odd):
             out.append((u, "PF3"))
-        condition, allowed = _PF_SELF[lab[u]]
-        if (u in p, u in odd) not in allowed:
+        condition, allowed = _PF_SELF[graph.labels[u]]
+        if (p & ubit != 0, odd & ubit != 0) not in allowed:
             out.append((u, condition))
     return out
 
@@ -381,23 +385,20 @@ def find_pauli_flow(graph: LabelledOpenGraph) -> Optional[PauliFlowData]:
 # -- focussing -------------------------------------------------------------
 
 
-def _unfocussed(graph: LabelledOpenGraph, members: Iterable[str],
-                odd: Optional[FrozenSet[str]] = None) -> set:
-    """Measured vertices the set is not focussed over (FOC1-FOC3); odd is
-    its odd neighbourhood, if already known."""
-    members = frozenset(members)
-    odd = graph.odd_neighbourhood(members) if odd is None else odd
-    lab = graph.labels
-    bad = {w for w in members if lab.get(w) in ("XZ", "YZ", "Z")}
-    bad.update(w for w in odd if lab.get(w) in ("XY", "X"))
-    bad.update(w for w in members ^ odd if lab.get(w) == "Y")
-    return bad
+def _unfocussed(bv: BitView, members: int, odd: Optional[int] = None) -> int:
+    """Mask of the measured vertices the set is not focussed over (FOC1-FOC3),
+    from the masks of the set and (if known) of its odd neighbourhood."""
+    lab = bv.label
+    odd = bv.odd(members) if odd is None else odd
+    return ((members & (lab["XZ"] | lab["YZ"] | lab["Z"])) | (odd & (lab["XY"] | lab["X"]))
+            | ((members ^ odd) & lab["Y"]))
 
 
 def verify_focussed(graph: LabelledOpenGraph, members: Iterable[str],
                     over: Iterable[str]) -> bool:
     """FOC1-FOC3 for the member set over the given measured vertices."""
-    return _unfocussed(graph, members).isdisjoint(over)
+    bad = _unfocussed(graph.bit_view, graph.bit_view.mask(members))
+    return not bad or graph.bit_view.unmask(bad).isdisjoint(over)
 
 
 def focus_over(graph: LabelledOpenGraph, p: Mapping[str, FrozenSet[str]],
@@ -410,18 +411,19 @@ def focus_over(graph: LabelledOpenGraph, p: Mapping[str, FrozenSet[str]],
     Returns the focussed set, its odd neighbourhood and the vertices whose
     sets were added.
     """
-    current = p[v]
-    cur_odd = graph.odd_neighbourhood(current)
-    bad = _unfocussed(graph, current, cur_odd)
+    bv = graph.bit_view
+    current = bv.mask(p[v])
+    cur_odd = bv.odd(current)
+    bad = _unfocussed(bv, current, cur_odd)
     fired = set()
     for w in order:
-        if w != v and w in bad:
+        if w != v and bad & bv.bit.get(w, 0):
             if w not in odd:
                 odd[w] = graph.odd_neighbourhood(p[w])
-            current, cur_odd = current ^ p[w], cur_odd ^ odd[w]
+            current, cur_odd = current ^ bv.mask(p[w]), cur_odd ^ bv.mask(odd[w])
             fired.add(w)
-            bad = _unfocussed(graph, current, cur_odd)
-    return current, cur_odd, frozenset(fired)
+            bad = _unfocussed(bv, current, cur_odd)
+    return bv.unmask(current), bv.unmask(cur_odd), frozenset(fired)
 
 
 def focus_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
@@ -442,7 +444,9 @@ def focus_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
 
 
 def is_flow_focussed(graph: LabelledOpenGraph, flow: PauliFlowData) -> bool:
-    return all(_unfocussed(graph, flow.p[v]) <= {v} for v in graph.measured)
+    bv = graph.bit_view
+    return all(not _unfocussed(bv, bv.mask(flow.p[v])) & ~bv.bit[v]
+               for v in graph.measured)
 
 
 # -- focussed set generators ------------------------------------------------

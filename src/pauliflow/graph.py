@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from functools import cached_property, reduce
+from operator import or_
+from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+
+from .f2 import bits
 
 PLANAR_LABELS = ("XY", "XZ", "YZ")
 PAULI_LABELS = ("X", "Y", "Z")
@@ -73,16 +76,9 @@ class LabelledOpenGraph:
         return self.vertices - self.inputs
 
     @cached_property
-    def adjacency(self) -> Dict[str, Tuple[str, ...]]:
-        """Neighbours of every vertex, built once per graph; tuples keep it small."""
-        nbrs: Dict[str, list] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return {v: tuple(ws) for v, ws in nbrs.items()}
-
-    def label(self, v: str) -> Optional[str]:
-        return self.labels.get(v)
+    def bit_view(self) -> "BitView":
+        """The graph as bit masks over its sorted vertex list, built once."""
+        return BitView(self)
 
     def is_planar(self, v: str) -> bool:
         return self.labels.get(v) in PLANAR_LABELS
@@ -91,29 +87,19 @@ class LabelledOpenGraph:
         return self.labels.get(v) in PAULI_LABELS
 
     def neighbours(self, v: str) -> FrozenSet[str]:
-        return frozenset(self.adjacency[v])
+        return self.odd_neighbourhood((v,))
 
     def adjacent(self, u: str, v: str) -> bool:
         if u == v:
             raise ValueError(f"self-loop on {u!r}")
-        return v in self.adjacency.get(u, ())
+        return u in self.vertices and v in self.neighbours(u)
 
     def odd_neighbourhood(self, subset: Iterable[str]) -> FrozenSet[str]:
         """Vertices adjacent to an odd number of members of the subset."""
-        subset = frozenset(subset)
-        unknown = subset - self.vertices
-        if unknown:
-            raise KeyError(sorted(unknown)[0])
-        adj = self.adjacency
-        odd: set = set()
-        for v in subset:
-            odd.symmetric_difference_update(adj[v])
-        return frozenset(odd)
+        return self.bit_view.unmask(self.bit_view.odd(self.bit_view.mask(subset)))
 
     def edges_inside(self, subset: Iterable[str]) -> int:
-        subset = frozenset(subset)
-        adj = self.adjacency
-        return sum(w in subset for v in subset for w in adj.get(v, ())) // 2
+        return self.bit_view.edges_inside(self.bit_view.mask(self.vertices.intersection(subset)))
 
     # -- structural operations (pure) -------------------------------------
 
@@ -167,6 +153,48 @@ class LabelledOpenGraph:
         return replace(self, labels=labels)
 
 
+class BitView:
+    """A labelled open graph as bit masks.  ``verts`` lists the vertices,
+    sorted, or as given together with other ids (no edges, no label);
+    ``bit[verts[i]]`` is ``1 << i``, ``adj[i]`` masks the neighbours of
+    ``verts[i]``, ``label[l]`` the vertices labelled l, ``outputs`` the
+    outputs.  An odd neighbourhood is an XOR of adjacency masks, a label
+    test an AND.  ``mask`` raises ``KeyError`` for an id not listed; the
+    graph's queries still take and return frozensets of ids."""
+
+    __slots__ = ("verts", "bit", "adj", "label", "outputs")
+
+    def __init__(self, graph: LabelledOpenGraph, verts: Optional[Sequence[str]] = None):
+        self.verts = tuple(sorted(graph.vertices) if verts is None else verts)
+        self.bit = bit = {v: 1 << i for i, v in enumerate(self.verts)}
+        self.adj = adj = [0] * len(self.verts)
+        for a, b in graph.edges:
+            adj[bit[a].bit_length() - 1] |= bit[b]
+            adj[bit[b].bit_length() - 1] |= bit[a]
+        self.label = dict.fromkeys(ALL_LABELS, 0)
+        for v in graph.measured:
+            self.label[graph.labels[v]] |= bit[v]
+        self.outputs = self.mask(graph.outputs)
+
+    def mask(self, vertices: Iterable[str]) -> int:
+        return reduce(or_, map(self.bit.__getitem__, vertices), 0)
+
+    def unmask(self, m: int) -> FrozenSet[str]:
+        return frozenset(map(self.verts.__getitem__, bits(m)))
+
+    def odd(self, m: int) -> int:
+        """Mask of the odd neighbourhood of the set m (the hottest loop here)."""
+        adj, out = self.adj, 0
+        while m:
+            low = m & -m
+            out ^= adj[low.bit_length() - 1]
+            m ^= low
+        return out
+
+    def edges_inside(self, m: int) -> int:
+        return sum((self.adj[i] & m).bit_count() for i in bits(m)) // 2
+
+
 @dataclass(frozen=True)
 class TrailingGate:
     """A single-qubit gate applied to an output wire after the pattern."""
@@ -200,9 +228,6 @@ class MeasurementPattern:
         g = LabelledOpenGraph.make(vertices, edges, inputs, outputs, labels)
         return cls(g, {v: Fraction(a) for v, a in angles.items()}, tuple(trailing))
 
-    def angle(self, v: str) -> Fraction:
-        return self.angles[v]
-
     def with_graph(self, graph: LabelledOpenGraph, angles=None, trailing=None) -> "MeasurementPattern":
         return MeasurementPattern(
             graph,
@@ -216,7 +241,5 @@ class MeasurementPattern:
 
     @cached_property
     def _pauli_pi(self) -> FrozenSet[str]:
-        return frozenset(
-            v for v in self.graph.measured
-            if self.graph.is_pauli(v) and self.angles[v] == 1
-        )
+        return frozenset(v for v in self.graph.measured
+                         if self.graph.is_pauli(v) and self.angles[v] == 1)

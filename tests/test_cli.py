@@ -421,3 +421,32 @@ def test_shipped_fixtures_pipeline(tmp_path, capsys):
         assert code == 0, name
     code, _, err = run_cli(capsys, "flow", "find", str(fixtures / "no-flow.json"))
     assert code == 1 and json.loads(err)["error"] == "no-pauli-flow"
+
+
+def test_dependent_fsets_exit_2(tmp_path, capsys):
+    # the empty set is focussed but not independent; extraction used to
+    # exit 1 with "free rows are dependent", a negative result
+    doc = worked_doc()
+    doc["fsets"] = [[]]
+    for command in (("extract",), ("synth",), ("rewrite", "lc")):
+        argv = [*command, write(tmp_path, "p.json", doc)]
+        if command[0] == "rewrite":
+            argv += ["--at", "a"]
+        assert schema_error_path(capsys, *argv) == "/fsets"
+
+
+def test_parse_fsets_rejects_dependent_sets():
+    import random
+
+    from pauliflow.cli import parse_fsets
+    from pauliflow.flow import focussed_set_generators
+    from tests.conftest import random_circuit_pattern, with_prepared_wires
+
+    pattern = with_prepared_wires(random_circuit_pattern(random.Random(3), 3, 10), 2)
+    g = pattern.graph
+    a, b = focussed_set_generators(g)
+    assert parse_fsets([sorted(a), sorted(a ^ b)], g) == [a, a ^ b]
+    for sets in ([a, a], [a, frozenset()], [a ^ b, a ^ b]):
+        with pytest.raises(SchemaError) as err:
+            parse_fsets([sorted(s) for s in sets], g)
+        assert err.value.path == "/fsets"

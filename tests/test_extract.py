@@ -355,3 +355,9 @@ def test_unitary_pattern_focussed_flow_unique():
         f2 = focus_flow(g, add_correction_sets(flow, u, v))
         assert f1.p == f2.p
         checked += 1
+
+
+def test_extract_rejects_non_vertex_fset():
+    # used to raise KeyError('zz') from the focus check
+    with pytest.raises(ValueError, match="not focussed"):
+        extract_pddag(worked_example(), None, [frozenset({"zz"})])

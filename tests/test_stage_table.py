@@ -5,7 +5,8 @@ from tools.stage_table import STAGES, growth_exponent, stage_times
 
 def test_stage_times_names_every_stage():
     times = stage_times(20, repeats=1)
-    assert tuple(times) == STAGES == ("find", "focus", "fsets", "extract", "hasse", "synth")
+    assert tuple(times) == STAGES == ("find", "focus", "fsets", "extract", "hasse", "synth",
+                                      "verify", "lc")
     assert all(t > 0 for t in times.values())
 
 

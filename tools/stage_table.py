@@ -8,7 +8,10 @@ n = 80, 160 and 320 it times, best of 3, each stage on its own:
 - fsets: ``focussed_set_generators``;
 - extract: ``extract_pddag`` given the focussed flow and the sets;
 - hasse: ``Pddag.hasse`` on a fresh copy of the extracted Pddag;
-- synth: ``synthesize(dag, lower_exp=True)``.
+- synth: ``synthesize(dag, lower_exp=True)``;
+- verify: ``verify_flow`` of the focussed flow;
+- lc: ``local_complement_pattern`` at the first measured non-input vertex,
+  given the focussed flow and the sets.
 
 It then prints each stage's growth exponent, the least-squares slope of
 log time against log n over 80 -> 320.  Run it from the root of a checkout
@@ -29,11 +32,13 @@ for path in (ROOT / "src", ROOT):
         sys.path.insert(0, str(path))
 
 from pauliflow.extract import extract_pddag  # noqa: E402
-from pauliflow.flow import find_pauli_flow, focus_flow, focussed_set_generators  # noqa: E402
+from pauliflow.flow import (  # noqa: E402
+    find_pauli_flow, focus_flow, focussed_set_generators, verify_flow)
 from pauliflow.pddag import Pddag, synthesize  # noqa: E402
+from pauliflow.rewrite import local_complement_pattern  # noqa: E402
 from tests.conftest import sized_circuit_pattern  # noqa: E402
 
-STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth")
+STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth", "verify", "lc")
 SIZES = (80, 160, 320)
 
 
@@ -59,6 +64,10 @@ def stage_times(n: int, repeats: int = 3) -> Dict[str, float]:
     fresh = [Pddag(dag.tableau, dag.node_ids, dag.nodes) for _ in range(repeats)]
     times["hasse"], _ = _best(lambda: fresh.pop().hasse(), repeats)
     times["synth"], _ = _best(lambda: synthesize(dag, lower_exp=True), repeats)
+    times["verify"], _ = _best(lambda: verify_flow(g, focussed), repeats)
+    u = sorted(g.measured - g.inputs)[0]
+    times["lc"], _ = _best(
+        lambda: local_complement_pattern(pattern, focussed, fsets, u, 1), repeats)
     return times
 
 
