@@ -171,7 +171,7 @@ def parse_fsets(obj, graph: LabelledOpenGraph) -> List[frozenset]:
             raise SchemaError(f"/fsets/{i}", "not focussed over the measured vertices")
         fsets.append(members)
     masks = [graph.bit_view.mask(fs) for fs in fsets]
-    if f2.rank(f2.F2Matrix(masks, len(graph.vertices))) < len(masks):
+    if f2.rank(masks) < len(masks):
         raise SchemaError("/fsets", "the sets are dependent over GF(2)")
     return fsets
 

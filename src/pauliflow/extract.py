@@ -80,17 +80,11 @@ def extraction_string(pattern: MeasurementPattern, flow_or_fset, v: Optional[str
 
 def _extend_all_inputs(pattern: MeasurementPattern, flow: PauliFlowData):
     """Extend every input; returns (pattern', flow', {input: extension vertex})."""
-    g = pattern.graph
-    angles = dict(pattern.angles)
-    p = dict(flow.p)
-    extra = []
-    ext: Dict[str, str] = {}
-    for u in sorted(pattern.graph.inputs):
-        g, new = g.input_extend(u)
-        angles[new] = Fraction(0)
-        p[new] = frozenset({u})
-        extra += [(new, w) for w in pattern.graph.neighbours(u) | {u}]  # new ties only to u
-        ext[u] = new
+    g, ext = pattern.graph.input_extend(pattern.graph.inputs)
+    angles = {**pattern.angles, **dict.fromkeys(ext.values(), Fraction(0))}
+    p = {**flow.p, **{new: frozenset({u}) for u, new in ext.items()}}
+    # an extension vertex ties only to its input
+    extra = [(new, w) for u, new in ext.items() for w in pattern.graph.neighbours(u) | {u}]
     new_pattern = pattern.with_graph(g, angles=angles, trailing=())
     new_flow = PauliFlowData(p, flow.order.extended(pattern.graph.vertices, extra))
     return new_pattern, new_flow, ext

@@ -1,116 +1,87 @@
-"""Dense GF(2) linear algebra on bit-packed rows.
+"""Dense GF(2) linear algebra: one elimination over bit-packed rows.
 
-Rows are Python ints used as bit masks (bit j = column j).  Systems here
-are small (one row/column per graph vertex) so dense elimination is the
-right tool; no sparse bookkeeping.
+A row is a Python int used as a bit mask, and a set of columns is a mask
+too, so callers eliminate directly on vertex bits without repacking.
+``gauss`` row-reduces on the columns of a mask; bits outside that mask
+ride along with their rows, which carries a right-hand side (``solve``)
+or a record of the combined rows (``in_span``).  Systems here are small
+(one row or column per graph vertex), so dense elimination is the right
+tool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import List, Optional, Sequence, Tuple
 
 
-@dataclass
-class F2Matrix:
-    """A rows x cols bit matrix over GF(2)."""
+def gauss(rows: Sequence[int], cols: int) -> Tuple[List[int], List[int]]:
+    """Row-reduce on the columns in the mask cols, lowest first.
 
-    rows: List[int]
-    cols: int
-
-    @classmethod
-    def from_lists(cls, data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "F2Matrix":
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        rows = []
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged matrix data")
-            rows.append(sum(1 << j for j, v in enumerate(r) if v & 1))
-        return cls(rows, cols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-def gauss(m: F2Matrix) -> Tuple[F2Matrix, int, List[int], List[int]]:
-    """Row-reduce to reduced echelon form.
-
-    Returns (echelon, rank, pivot columns, transform) where transform[i]
-    is the bit mask of original rows combined into echelon row i, so
-    echelon = transform @ m over GF(2).
+    Returns (reduced rows, pivot columns): row i of the result has its
+    pivot at column ``pivots[i]`` and is the only row with that bit; the
+    rows past ``len(pivots)`` are zero on cols.  The pivots are the
+    greedy column basis (a column is a pivot iff it is not in the span of
+    the columns before it).  Bits outside cols ride along: every result
+    row is the XOR of the original rows combined into it.
     """
-    rows = list(m.rows)
+    rows = list(rows)
     n = len(rows)
-    record = [1 << i for i in range(n)]
     pivots: List[int] = []
-    r = 0
-    for c in range(m.cols):
-        bit = 1 << c
-        pivot = next((i for i in range(r, n) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        record[r], record[pivot] = record[pivot], record[r]
-        for i in range(n):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-                record[i] ^= record[r]
-        pivots.append(c)
-        r += 1
+    for c in bits(cols):
+        r = len(pivots)
         if r == n:
             break
-    return F2Matrix(rows, m.cols), r, pivots, record
+        bit = 1 << c
+        for i in range(r, n):
+            if rows[i] & bit:
+                break
+        else:
+            continue
+        pr = rows[i]
+        rows[i] = rows[r]
+        rows = [x ^ pr if x & bit else x for x in rows]
+        rows[r] = pr
+        pivots.append(c)
+    return rows, pivots
 
 
-def solve(m: F2Matrix, b: Sequence[int]) -> Optional[int]:
-    """Solve M x = b; return one solution or None.
-
-    b may be a list of bits or an int mask over rows.  Free variables are
-    set to 0 in the solution; ``null_space`` gives the rest.
-    """
-    if isinstance(b, int):
-        bmask = b
-        blen = m.nrows
-    else:
-        blen = len(b)
-        bmask = sum(1 << i for i, v in enumerate(b) if v & 1)
-    if blen != m.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    _, rank, pivots, record = gauss(m)
-    rhs = [_parity(record[i] & bmask) for i in range(m.nrows)]
-    for i in range(rank, m.nrows):
-        if rhs[i]:
-            return None
-    x = 0
-    for i, c in enumerate(pivots):
-        if rhs[i]:
-            x |= 1 << c
-    return x
+def solve(rows: Sequence[int], cols: int, rhs: int) -> Optional[int]:
+    """Solve the system whose unknowns are the columns in cols and whose
+    right-hand side is the single column bit rhs (above every column in
+    cols; otherwise ValueError).  Returns the solution supported on the
+    pivot columns, or None if there is none; ``null_space`` gives the rest."""
+    if rhs & (rhs - 1) or rhs <= cols:
+        raise ValueError("the right-hand side must be one bit above every column")
+    reduced, pivots = gauss(rows, cols)
+    if any(x & rhs for x in reduced[len(pivots):]):
+        return None
+    return sum(1 << c for x, c in zip(reduced, pivots) if x & rhs)
 
 
-def null_space(m: F2Matrix) -> List[int]:
-    """Basis of {x : M x = 0}; size = cols - rank."""
-    echelon, rank, pivots, _ = gauss(m)
-    return _null_basis(echelon, rank, pivots)
+def null_space(rows: Sequence[int], cols: int) -> List[int]:
+    """Basis of {x on cols : every row has even overlap with x}, one vector
+    per non-pivot column, lowest first; its size is |cols| - rank."""
+    reduced, pivots = gauss(rows, cols)
+    pivot_mask = sum(1 << c for c in pivots)
+    return [(1 << f) | sum(1 << c for x, c in zip(reduced, pivots) if (x >> f) & 1)
+            for f in bits(cols & ~pivot_mask)]
 
 
-def rank(m: F2Matrix) -> int:
-    return gauss(m)[1]
+def rank(rows: Sequence[int]) -> int:
+    return len(gauss(rows, reduce(or_, rows, 0))[1])
 
 
-def in_span(rows: Sequence[int], cols: int, target: int) -> Optional[int]:
+def in_span(rows: Sequence[int], target: int) -> Optional[int]:
     """If target is in the row span, return a mask of the combining rows."""
-    m = F2Matrix(list(rows), cols)
-    echelon, r, pivots, record = gauss(m)
+    width = reduce(or_, rows, target).bit_length()
+    reduced, pivots = gauss([r | 1 << (width + i) for i, r in enumerate(rows)], (1 << width) - 1)
     acc = target
-    combo = 0
-    for i, c in enumerate(pivots):
-        if acc & (1 << c):
-            acc ^= echelon.rows[i]
-            combo ^= record[i]
-    return combo if acc == 0 else None
+    for x, c in zip(reduced, pivots):
+        if (acc >> c) & 1:
+            acc ^= x
+    return None if acc & ((1 << width) - 1) else acc >> width
 
 
 def bits(mask: int):
@@ -119,21 +90,3 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
-def _null_basis(echelon: F2Matrix, rank: int, pivots: List[int]) -> List[int]:
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(echelon.cols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for i, c in enumerate(pivots):
-            if echelon.rows[i] & (1 << free):
-                vec |= 1 << c
-        basis.append(vec)
-    return basis

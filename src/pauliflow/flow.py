@@ -1,11 +1,15 @@
 """Pauli flow: verification, maximally delayed identification and focussing.
 
 The identification algorithm works backwards from the outputs, solving a
-GF(2) witness system per candidate vertex and depth round.  Every flow
-order is a ``FlowOrder``: a strict partial order held as closed successor
-bit masks over a vertex index.  Identification builds it from a depth map
-(depth counts from the outputs, so ``u`` before ``v`` iff
-``d(u) > d(v)``), flow switching and input extension build it from pairs.
+GF(2) witness system per candidate vertex and depth round.  The systems
+are built on a ``graph.BitView``: the unknowns are the vertex bits of the
+correction set, each row is an adjacency mask cut to them with its
+right-hand side one bit higher, and ``f2.solve`` returns the correction
+set's mask directly.  Every flow order is a ``FlowOrder``: a strict
+partial order held as closed successor bit masks over a vertex index.
+Identification builds it from a depth map (depth counts from the outputs,
+so ``u`` before ``v`` iff ``d(u) > d(v)``), flow switching and input
+extension build it from pairs.
 """
 
 from __future__ import annotations
@@ -264,91 +268,37 @@ def verify_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> List[Tuple[str
 # -- identification (maximally delayed) -----------------------------------
 
 
-class _Ctx:
-    """Bit-mask view of a labelled open graph, for the GF(2) systems."""
+def _solve_witness(bv: BitView, noninput: int, u: int, a_mask: int, plane: str) -> Optional[int]:
+    """Solve the witness system for vertex u at a depth round; return K mask.
 
-    def __init__(self, graph: LabelledOpenGraph):
-        self.verts = sorted(graph.vertices)
-        self.idx = {v: i for i, v in enumerate(self.verts)}
-        n = len(self.verts)
-        self.full = (1 << n) - 1
-        self.adj = [0] * n  # from the edges, so flow finding caches nothing on the graph
-        for a, b in graph.edges:
-            self.adj[self.idx[a]] |= 1 << self.idx[b]
-            self.adj[self.idx[b]] |= 1 << self.idx[a]
-        self.inputs = self.mask(graph.inputs)
-        self.outputs = self.mask(graph.outputs)
-        self.lx = self.mask(v for v in graph.measured if graph.labels[v] == "X")
-        self.ly = self.mask(v for v in graph.measured if graph.labels[v] == "Y")
-        self.lz = self.mask(v for v in graph.measured if graph.labels[v] == "Z")
-
-    def mask(self, vs: Iterable[str]) -> int:
-        m = 0
-        for v in vs:
-            m |= 1 << self.idx[v]
-        return m
-
-    def unmask(self, m: int) -> FrozenSet[str]:
-        return frozenset(self.verts[i] for i in f2.bits(m))
-
-
-def _solve_witness(ctx: _Ctx, u: int, a_mask: int, plane: str) -> Optional[int]:
-    """Solve the witness system for vertex u at a depth round; return K mask."""
+    The unknowns are the vertex bits of K, so each row is an adjacency mask
+    cut to them; the right-hand side b rides at the bit above every vertex."""
     ubit = 1 << u
-    lyu = ctx.ly & ~ubit
-    lzu = ctx.lz & ~ubit
-    lxu = ctx.lx & ~ubit
-    k_univ = (a_mask | lxu | lyu) & ~ctx.inputs & ~ubit
-    p_rows = ctx.full & ~(a_mask | lyu | lzu)
-    y_rows = lyu & ~a_mask
-    cols = list(f2.bits(k_univ))
-    nbr = ctx.adj[u]
-
-    rows: List[int] = []
-    rhs: List[int] = []
-    for w in f2.bits(p_rows):
-        rows.append(_restrict(ctx.adj[w], cols))
-        if plane == "XY":
-            rhs.append(1 if w == u else 0)
-        elif plane == "XZ":
-            rhs.append(((nbr >> w) & 1) ^ (1 if w == u else 0))
-        else:
-            rhs.append((nbr >> w) & 1)
-    for w in f2.bits(y_rows):
-        rows.append(_restrict(ctx.adj[w] ^ (1 << w), cols))
-        rhs.append(0 if plane == "XY" else (nbr >> w) & 1)
-
-    x = f2.solve(f2.F2Matrix(rows, len(cols)), rhs)
-    if x is None:
-        return None
-    k = 0
-    for j in f2.bits(x):
-        k |= 1 << cols[j]
-    return k
-
-
-def _restrict(mask: int, cols: List[int]) -> int:
-    row = 0
-    for j, c in enumerate(cols):
-        row |= ((mask >> c) & 1) << j
-    return row
+    lab, adj, n = bv.label, bv.adj, len(bv.verts)
+    lyu = lab["Y"] & ~ubit
+    k_univ = (a_mask | lab["X"] | lyu) & noninput & ~ubit
+    p_rows = ((1 << n) - 1) & ~(a_mask | lyu | lab["Z"] & ~ubit)
+    b = ubit if plane == "XY" else adj[u] ^ ubit if plane == "XZ" else adj[u]
+    rows = [adj[w] & k_univ | ((b >> w) & 1) << n for w in f2.bits(p_rows)]
+    rows += [(adj[w] ^ (1 << w)) & k_univ | ((b >> w) & 1) << n for w in f2.bits(lyu & ~a_mask)]
+    return f2.solve(rows, k_univ, 1 << n)
 
 
 def find_pauli_flow_detailed(graph: LabelledOpenGraph):
     """Run the delayed-layer identification; return (flow or None, stuck front)."""
-    ctx = _Ctx(graph)
+    bv = BitView(graph)  # not the graph's cached view: flow finding caches nothing on it
+    full = (1 << len(bv.verts)) - 1
+    noninput = full & ~bv.mask(graph.inputs)
     lab = graph.labels
     depth: Dict[str, int] = {v: 0 for v in graph.outputs}
     p: Dict[str, FrozenSet[str]] = {}
-    solved = ctx.outputs
+    solved = bv.outputs
     k = 0
     while True:
         a_mask = 0 if k == 0 else solved
         found = 0
-        for v in sorted(graph.measured):
-            i = ctx.idx[v]
-            if solved & (1 << i):
-                continue
+        for i in f2.bits(full & ~solved):
+            v = bv.verts[i]
             lu = lab[v]
             planes = []
             if lu in ("XY", "X", "Y"):
@@ -358,11 +308,11 @@ def find_pauli_flow_detailed(graph: LabelledOpenGraph):
             if lu in ("YZ", "Y", "Z") and v not in graph.inputs:
                 planes.append("YZ")
             for plane in planes:
-                kmask = _solve_witness(ctx, i, a_mask, plane)
+                kmask = _solve_witness(bv, noninput, i, a_mask, plane)
                 if kmask is not None:
                     if plane != "XY":
                         kmask |= 1 << i
-                    p[v] = ctx.unmask(kmask)
+                    p[v] = bv.unmask(kmask)
                     depth[v] = k
                     found |= 1 << i
                     break
@@ -373,9 +323,9 @@ def find_pauli_flow_detailed(graph: LabelledOpenGraph):
         if k == 0:
             k += 1
             continue
-        if solved == ctx.full:
+        if solved == full:
             return PauliFlowData(p, FlowOrder.from_depth(depth)), frozenset()
-        return None, ctx.unmask(ctx.full & ~solved & ~ctx.outputs)
+        return None, bv.unmask(full & ~solved)
 
 
 def find_pauli_flow(graph: LabelledOpenGraph) -> Optional[PauliFlowData]:
@@ -462,22 +412,12 @@ def focussed_set_generators(graph: LabelledOpenGraph) -> List[FocussedSet]:
     Solves the homogeneous membership/odd-neighbourhood system over GF(2);
     each null-space basis vector (one per free variable) is one generator.
     """
-    lab = graph.labels
-    variables = sorted(
-        v for v in graph.prepared
-        if v in graph.outputs or lab.get(v) in ("XY", "X", "Y")
-    )
-    col = {v: j for j, v in enumerate(variables)}
-
-    def row(w: str, include_self: bool) -> int:
-        r = sum(1 << col[v] for v in graph.neighbours(w) if v in col)
-        return r ^ (1 << col[w]) if include_self and w in col else r
-
-    measured = sorted(graph.measured)
-    rows = [row(w, False) for w in measured if lab[w] in ("XY", "X")]
-    rows += [row(w, True) for w in measured if lab[w] == "Y"]
-    basis = f2.null_space(f2.F2Matrix(rows, len(variables)))
-    gens = [frozenset(variables[j] for j in f2.bits(vec)) for vec in basis]
+    bv = graph.bit_view
+    lab = bv.label
+    variables = (bv.outputs | lab["XY"] | lab["X"] | lab["Y"]) & ~bv.mask(graph.inputs)
+    rows = [bv.adj[w] & variables for w in f2.bits(lab["XY"] | lab["X"])]
+    rows += [(bv.adj[w] ^ (1 << w)) & variables for w in f2.bits(lab["Y"])]
+    gens = [bv.unmask(vec) for vec in f2.null_space(rows, variables)]
     expected = len(graph.outputs) - len(graph.inputs)
     if len(gens) != expected:
         raise FocussedRankError(

@@ -153,10 +153,6 @@ class SignedPauliString:
     def __str__(self):
         return self.format()
 
-    def wire_string(self, wire_order: Sequence) -> str:
-        """Dense letters in wire order, e.g. ``-YZ`` over two wires."""
-        return _PHASE_STR[self.phase_pow] + "".join(self.letter(q) for q in wire_order)
-
 
 def identity_string() -> SignedPauliString:
     return SignedPauliString.from_xz((), ())

@@ -131,7 +131,7 @@ class IsometryTableau:
                 if not commutes(r, self.z_rows[u]) or not commutes(r, self.x_rows[u]):
                     raise ValueError("free rows must commute with input rows")
 
-    def _symplectic(self, rows: Sequence[SignedPauliString]) -> f2.F2Matrix:
+    def _symplectic(self, rows: Sequence[SignedPauliString]) -> List[int]:
         """Rows as [x | z] bits over the outputs: X at bit i, Z at bit n + i."""
         n = len(self.outputs)
         pos = {q: i for i, q in enumerate(self.outputs)}
@@ -139,7 +139,7 @@ class IsometryTableau:
         for r in rows:
             x, z = r.bits(pos)
             packed.append(x | z << n)
-        return f2.F2Matrix(packed, 2 * n)
+        return packed
 
     def rows_equal(self, other: "IsometryTableau") -> bool:
         return (
@@ -187,9 +187,8 @@ class IsometryTableau:
         """Indices of free rows whose exact signed product equals the string."""
         if not string.is_hermitian() or not string.support <= set(self.outputs):
             return None
-        mat = self._symplectic([r.unsigned() for r in self.free_rows])
-        target = self._symplectic([string.unsigned()]).rows[0]
-        combo = f2.in_span(mat.rows, mat.cols, target)
+        rows = self._symplectic([r.unsigned() for r in self.free_rows])
+        combo = f2.in_span(rows, self._symplectic([string.unsigned()])[0])
         if combo is None:
             return None
         idx = tuple(i for i in range(len(self.free_rows)) if combo & (1 << i))
@@ -522,9 +521,10 @@ def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], Li
         return z | x << n
 
     for j, zrow in enumerate(free):
-        rows = [sym_row(s) for s in z_out + x_out] + [sym_row(s) for s in free]
-        rhs = [0] * (len(z_out) + len(x_out)) + [1 if i == j else 0 for i in range(len(free))]
-        sol = f2.solve(f2.F2Matrix(rows, 2 * n), rhs)
+        # the right-hand side (1 on free row j only) rides at bit 2n
+        rows = [sym_row(s) for s in z_out + x_out + free]
+        rows[len(z_out) + len(x_out) + j] |= 1 << 2 * n
+        sol = f2.solve(rows, (1 << 2 * n) - 1, 1 << 2 * n)
         if sol is None:
             raise ValueError("tableau rows violate symplectic constraints")
         xbits = sol & ((1 << n) - 1)

@@ -6,11 +6,12 @@ a single-qubit multiplication table, commutation counts qubits whose
 non-identity letters differ, and the three packers scan letters into
 symplectic bit masks in their two layouts.  The differential tests
 compare the library against them; nothing in ``src/`` imports this module.
-``complete_tableau`` is the partner completion built from them.
+``complete_tableau`` is the partner completion built from them and the
+reference GF(2) solver, so it shares no elimination with ``_complete_tableau``.
 """
 
-from pauliflow import f2
 from pauliflow.pauli import SignedPauliString
+from tests import reference_f2 as f2
 
 # (p, q) -> (r, k) with P*Q = i^k * R for single-qubit Paulis.
 _MUL = {

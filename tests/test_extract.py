@@ -185,7 +185,8 @@ def test_input_extension_flow_and_semantics():
         ["i", "m", "o"], [("i", "m"), ("m", "o")], ["i"], ["o"],
         {"i": "XY", "m": "XY"}, {"i": F(1, 3), "m": F(1, 5)})
     g = pattern.graph
-    g2, new = g.input_extend("i")
+    g2, ext = g.input_extend(["i"])
+    new = ext["i"]
     flow = find_pauli_flow(g)
     assert flow is not None
     p2 = dict(flow.p)

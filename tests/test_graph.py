@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pauliflow.graph import LabelledOpenGraph, MeasurementPattern
+from pauliflow.graph import LabelledOpenGraph, MeasurementPattern, edge
 from tests.conftest import random_labelled_graph
 
 F = Fraction
@@ -115,14 +115,34 @@ def test_pivot_path_by_definition():
 
 def test_input_extend(worked_pattern):
     g = worked_pattern.graph
-    g2, new = g.input_extend("i")
-    assert new == "i'"
+    g2, ext = g.input_extend(["i"])
+    assert ext == {"i": "i'"}
     assert len(g2.inputs) == len(g.inputs)
     assert g2.inputs == {"i'"}
     assert g2.adjacent("i'", "i")
     assert g2.labels["i'"] == "XY"
     with pytest.raises(ValueError):
-        g.input_extend("a")
+        g.input_extend(["a"])
+
+
+def test_input_extend_names_around_taken_ids():
+    # i' is already a vertex, and j's first choice j' is another input:
+    # inputs are taken in sorted order, each id getting ' appended while it
+    # is a vertex or an earlier extension id.
+    g = LabelledOpenGraph.make(
+        ["i", "i'", "j", "j'", "o"], [("i", "i'"), ("i'", "o"), ("j", "o"), ("j'", "o")],
+        ["i", "j", "j'"], ["o"], {"i": "XY", "i'": "XY", "j": "XY", "j'": "XY"})
+    g2, ext = g.input_extend(g.inputs)
+    assert ext == {"i": "i''", "j": "j''", "j'": "j'''"}
+    assert g2.inputs == {"i''", "j''", "j'''"}
+    assert g2.vertices == g.vertices | set(ext.values())
+    assert g2.edges == g.edges | {edge(u, new) for u, new in ext.items()}
+    assert all(g2.labels[new] == "XY" for new in ext.values())
+    step = g  # extending one input at a time gives the same ids and graph
+    for u in sorted(g.inputs):
+        step, one = step.input_extend([u])
+        assert one == {u: ext[u]}
+    assert step == g2
 
 
 def test_remove_vertex(worked_pattern):

@@ -99,7 +99,7 @@ def test_pipeline_bit_layouts_match_reference(n):
         assert len(tab.free_rows) == prepared
         rows = [tab.z_rows[u] for u in tab.inputs] + [tab.x_rows[u] for u in tab.inputs] \
             + list(tab.free_rows)
-        assert tab._symplectic(rows).rows == [ref.tableau_bits(r, tab.outputs) for r in rows]
+        assert tab._symplectic(rows) == [ref.tableau_bits(r, tab.outputs) for r in rows]
         pos = {q: i for i, q in enumerate(tab.outputs)}
         for nid in dag.node_ids:
             string = dag.nodes[nid].string
