@@ -4,13 +4,18 @@ Each planar measurement contributes one rotation node whose string is the
 primary extraction string of its correction set, with an exact sign ledger:
 one flip per edge inside the set, one per Y pair, one per absorbed Pauli
 measurement at angle pi.  Tableau rows come from the inputs' extraction
-strings (X rows via input extension) and the focussed-set generators.
+strings and the focussed-set generators.  An input u's X row is the
+stabilizer of the set {u} once it is focussed over every measured vertex,
+u included, in temporal order: the correction set the paper gives a fresh
+XY vertex u' tied to u (its input extension).  u' touches only u and no
+correction set holds an input, so the focussed set, its odd neighbourhood
+and its sign ledger are the same in the pattern's own graph, where it is
+computed; the extended graph is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .flow import (
@@ -75,21 +80,6 @@ def extraction_string(pattern: MeasurementPattern, flow_or_fset, v: Optional[str
     return ExtractionString(axis, string)
 
 
-# -- input extension ------------------------------------------------------------
-
-
-def _extend_all_inputs(pattern: MeasurementPattern, flow: PauliFlowData):
-    """Extend every input; returns (pattern', flow', {input: extension vertex})."""
-    g, ext = pattern.graph.input_extend(pattern.graph.inputs)
-    angles = {**pattern.angles, **dict.fromkeys(ext.values(), Fraction(0))}
-    p = {**flow.p, **{new: frozenset({u}) for u, new in ext.items()}}
-    # an extension vertex ties only to its input
-    extra = [(new, w) for u, new in ext.items() for w in pattern.graph.neighbours(u) | {u}]
-    new_pattern = pattern.with_graph(g, angles=angles, trailing=())
-    new_flow = PauliFlowData(p, flow.order.extended(pattern.graph.vertices, extra))
-    return new_pattern, new_flow, ext
-
-
 # -- the pipeline -----------------------------------------------------------------
 
 
@@ -97,12 +87,15 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
                   fsets: Optional[Sequence[FocussedSet]] = None,
                   extension_sets: Optional[Mapping[str, FrozenSet[str]]] = None) -> Pddag:
     """Pattern -> Pddag: find/focus a flow, emit one node per planar vertex,
-    derive tableau rows from input extensions and the focussed sets.
+    then one per trailing gate, and derive tableau rows from the inputs and
+    the focussed sets.
 
-    extension_sets optionally pins the correction set used for each input's
-    extension vertex (keyed by input id); by default they are produced by
-    the focussing sweep.  Rewrites thread updated sets through here so both
-    report sides use the same tableau-row representatives.
+    extension_sets optionally pins, per input u, the focussed set its X row
+    is read from (see the module docstring); it must hold u and no other
+    input and be focussed over the measured vertices.  By default the set
+    {u} is focussed along the temporal order.  Rewrites thread updated sets
+    through here so both report sides use the same tableau-row
+    representatives.
     """
     g = pattern.graph
     if any(str(v).startswith("t:") for v in g.vertices):
@@ -124,23 +117,34 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
                if not g.vertices.issuperset(fs) or not verify_focussed(g, fs, g.measured)]
         if bad:
             raise ValueError(f"supplied focussed sets are not focussed: {bad}")
+    extension_sets = {u: frozenset(s) for u, s in (extension_sets or {}).items()}
+    for u, s in extension_sets.items():
+        if u not in g.inputs:
+            raise ValueError(f"extension set for {u!r}: not an input")
+        if not g.vertices.issuperset(s) or s & g.inputs != {u} \
+                or not verify_focussed(g, s, g.measured):
+            raise ValueError(f"extension set for {u!r}: not a focussed set holding "
+                             f"{u!r} and no other input")
 
+    sweep = flow.order.temporal_order(g.measured)
     # Rotation nodes, one per planar measured vertex, earliest first.
-    temporal = [v for v in flow.order.temporal_order(g.measured) if g.is_planar(v)]
     # Identity-string nodes (a measured vertex whose angle cannot reach the
     # outputs) are kept: they are global phases, and rewrites may turn them
     # into real rotations and back.
     nodes: List[Tuple[str, Rotation]] = []
-    for v in temporal:
-        string = extraction_string(pattern, flow, v).string
-        nodes.append((v, Rotation(-string if g.labels[v] == "YZ" else string, pattern.angles[v])))
+    for v in sweep:
+        if g.is_planar(v):
+            string = extraction_string(pattern, flow, v).string
+            nodes.append((v, Rotation(-string if g.labels[v] == "YZ" else string,
+                                      pattern.angles[v])))
+    trailing = pattern.trailing
+    for i, tg in enumerate(trailing):
+        rots = trailing_rotations(tg)
+        nodes += [(trailing_node_id(len(trailing), i, j if len(rots) > 1 else None), rot)
+                  for j, rot in enumerate(rots) if rot.angle != 0]
 
     # Tableau rows.
-    epattern, eflow, ext_ids = _extend_all_inputs(pattern, flow)
-    eg = epattern.graph
-    ep = dict(eflow.p)
-    eodd: Dict[str, FrozenSet[str]] = {}
-    sweep = eflow.order.temporal_order(eg.measured)
+    odd: Dict[str, FrozenSet[str]] = {}
     z_rows: Dict[str, SignedPauliString] = {}
     x_rows: Dict[str, SignedPauliString] = {}
     traces: Dict[str, FrozenSet[str]] = {}
@@ -153,35 +157,22 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
             if zs.axis != "Z":
                 raise ValueError(f"input {u!r} does not give a Z extraction string")
             z_rows[u] = zs.string
-        up = ext_ids[u]
-        if extension_sets is not None and u in extension_sets:
-            focussed, trace = frozenset(extension_sets[u]), frozenset()
-            if not verify_focussed(eg, focussed, eg.measured - {up}):
-                raise ValueError(f"supplied extension set for {u!r} is not focussed")
-            eodd.pop(up, None)
+        if u in extension_sets:
+            corrections[u], traces[u] = extension_sets[u], frozenset()
         else:
-            focussed, eodd[up], trace = focus_over(eg, ep, eodd, sweep, up)
-        ep[up] = focussed
-        xflow = PauliFlowData(ep, eflow.order)
-        xs = extraction_string(epattern, xflow, up)
-        if xs.axis != "Z":
-            raise ValueError(f"extension of input {u!r} does not give a Z string")
-        x_rows[u] = xs.string
-        traces[u] = trace
-        corrections[u] = focussed
+            corrections[u], _, traces[u] = focus_over(g, flow.p, odd, sweep, {u})
+        x_rows[u] = extraction_string(pattern, corrections[u]).string
 
-    free_rows = tuple(extraction_string(pattern, fs).string for fs in fsets)
     tableau = IsometryTableau(
         inputs=tuple(sorted(g.inputs)),
         outputs=tuple(sorted(g.outputs)),
         z_rows=z_rows,
         x_rows=x_rows,
-        free_rows=free_rows,
+        free_rows=tuple(extraction_string(pattern, fs).string for fs in fsets),
         x_traces=traces,
         x_corrections=corrections,
     )
-    dag = build_pddag(tableau, nodes)
-    return append_trailing(dag, pattern.trailing)
+    return build_pddag(tableau, nodes)
 
 
 def trailing_rotations(gate: TrailingGate) -> List[Rotation]:
@@ -199,21 +190,6 @@ def trailing_node_id(list_len: int, index: int, sub: Optional[int] = None) -> st
     rewrites that prepend new trailing gates keep existing ids unchanged."""
     base = f"{TRAIL_PREFIX}{list_len - 1 - index}"
     return base if sub is None else f"{base}.{sub}"
-
-
-def append_trailing(dag: Pddag, trailing: Sequence[TrailingGate]) -> Pddag:
-    """Append trailing gates as rotation nodes after everything else."""
-    ids = list(dag.node_ids)
-    nodes = dict(dag.nodes)
-    for i, tg in enumerate(trailing):
-        rots = trailing_rotations(tg)
-        for j, rot in enumerate(rots):
-            if rot.angle == 0:
-                continue
-            nid = trailing_node_id(len(trailing), i, j if len(rots) > 1 else None)
-            ids.append(nid)
-            nodes[nid] = rot
-    return Pddag(dag.tableau, tuple(ids), nodes)
 
 
 def extract_circuit(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = None,

@@ -8,8 +8,8 @@ right-hand side one bit higher, and ``f2.solve`` returns the correction
 set's mask directly.  Every flow order is a ``FlowOrder``: a strict
 partial order held as closed successor bit masks over a vertex index.
 Identification builds it from a depth map (depth counts from the outputs,
-so ``u`` before ``v`` iff ``d(u) > d(v)``), flow switching and input
-extension build it from pairs.
+so ``u`` before ``v`` iff ``d(u) > d(v)``), flow switching extends it by
+pairs.
 """
 
 from __future__ import annotations
@@ -353,21 +353,22 @@ def verify_focussed(graph: LabelledOpenGraph, members: Iterable[str],
 
 def focus_over(graph: LabelledOpenGraph, p: Mapping[str, FrozenSet[str]],
                odd: Dict[str, FrozenSet[str]], order: Sequence[str],
-               v: str) -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
-    """Focus p[v] over the other vertices of order, in order, by adding the
-    correction set of each vertex it is not focussed over.
+               start: Iterable[str], skip: Optional[str] = None,
+               ) -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
+    """Focus the start set over the vertices of order other than skip, in
+    order, by adding the correction set of each vertex it is not focussed over.
 
     odd caches odd neighbourhoods of the sets in p and is filled on demand.
     Returns the focussed set, its odd neighbourhood and the vertices whose
     sets were added.
     """
     bv = graph.bit_view
-    current = bv.mask(p[v])
+    current = bv.mask(start)
     cur_odd = bv.odd(current)
     bad = _unfocussed(bv, current, cur_odd)
     fired = set()
     for w in order:
-        if w != v and bad & bv.bit.get(w, 0):
+        if w != skip and bad & bv.bit.get(w, 0):
             if w not in odd:
                 odd[w] = graph.odd_neighbourhood(p[w])
             current, cur_odd = current ^ bv.mask(p[w]), cur_odd ^ bv.mask(odd[w])
@@ -389,7 +390,7 @@ def focus_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
     p = {v: frozenset(s) for v, s in flow.p.items()}
     odd: Dict[str, FrozenSet[str]] = {}
     for v in order:
-        p[v], odd[v], _ = focus_over(graph, p, odd, order, v)
+        p[v], odd[v], _ = focus_over(graph, p, odd, order, p[v], v)
     return PauliFlowData(p, flow.order)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .f2 import bits
 
@@ -114,29 +114,6 @@ class LabelledOpenGraph:
         if not self.adjacent(u, v):
             raise ValueError(f"{u!r} and {v!r} are not adjacent")
         return self.local_complement(u).local_complement(v).local_complement(u)
-
-    def input_extend(self, inputs: Iterable[str]) -> Tuple["LabelledOpenGraph", Dict[str, str]]:
-        """Add a fresh XY-labelled vertex u' tied to each given input u; u'
-        becomes the input.  Returns the graph and {u: u'}.  Inputs are
-        taken in sorted order, each id getting ' appended while it is a
-        vertex or an earlier extension id."""
-        ext: Dict[str, str] = {}
-        for u in sorted(set(inputs)):
-            if u not in self.inputs:
-                raise ValueError(f"{u!r} is not an input")
-            new = u + "'"
-            while new in self.vertices or new in ext.values():
-                new += "'"
-            ext[u] = new
-        fresh = frozenset(ext.values())
-        g = LabelledOpenGraph(
-            self.vertices | fresh,
-            self.edges | {edge(u, new) for u, new in ext.items()},
-            (self.inputs - ext.keys()) | fresh,
-            self.outputs,
-            {**self.labels, **dict.fromkeys(fresh, "XY")},
-        )
-        return g, ext
 
     def remove_vertex(self, u: str) -> "LabelledOpenGraph":
         if u in self.inputs or u in self.outputs:

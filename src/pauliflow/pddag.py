@@ -82,12 +82,13 @@ def _check_row(row: SignedPauliString, outputs: FrozenSet[str]) -> None:
 class IsometryTableau:
     """Z/X images per input plus free stabilizer generators, all over outputs.
 
-    x_traces records, per input, which measured vertices' correction sets
-    were folded into the X row during input extension; flow switching uses
-    it to replay the same row updates without re-running extraction.
-    x_corrections keeps the extension vertices' correction sets themselves
-    so rewrites can update them with their flow rules instead of re-running
-    the focussing sweep (which may pick a different, free-action-related row).
+    x_traces records, per input u, the measured vertices whose correction
+    sets were added to {u} while focussing it into the set the X row is
+    read from; flow switching uses it to replay the same row updates
+    without re-running extraction.  x_corrections keeps those focussed sets
+    themselves so rewrites can update them with their flow rules instead of
+    re-running the focussing sweep (which may pick a different,
+    free-action-related row).
     """
 
     inputs: Tuple[str, ...]

@@ -252,8 +252,9 @@ def _lc_updates(pattern: MeasurementPattern, flow: PauliFlowData,
     for v in flow.order.emission_order(g.measured):
         p2[v] = updated(flow.p[v], skip=v)
     fsets2 = [updated(fs) for fs in fsets]
-    # extension vertices follow the same update as the focussed sets (they
-    # are measured vertices of the extended graph, never adjacent to u)
+    # the X-row sets follow the same update as the focussed sets: each is
+    # the correction set of an input's extension vertex, which touches only
+    # its input and so is never a neighbour of u
     ext2 = {w: updated(s) for w, s in (ext or {}).items()}
     flow2 = PauliFlowData(p2, flow.order)
     return pattern2, flow2, tuple(fsets2), ext2

@@ -131,7 +131,7 @@ def random_flowful_pattern(rng, max_vertices=8, attempts=4000):
         if flow is None:
             continue
         angles = {
-            v: random_angle(rng, pauli=g.is_pauli(v)) for v in g.measured
+            v: random_angle(rng, pauli=g.is_pauli(v)) for v in sorted(g.measured)
         }
         return MeasurementPattern(g, angles), flow
     raise RuntimeError("no flowful pattern found")

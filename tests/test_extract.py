@@ -36,6 +36,7 @@ from tests.conftest import (
     random_circuit_pattern,
     random_flowful_pattern,
 )
+from tests.reference_extract import input_extend
 
 F = Fraction
 
@@ -185,7 +186,7 @@ def test_input_extension_flow_and_semantics():
         ["i", "m", "o"], [("i", "m"), ("m", "o")], ["i"], ["o"],
         {"i": "XY", "m": "XY"}, {"i": F(1, 3), "m": F(1, 5)})
     g = pattern.graph
-    g2, ext = g.input_extend(["i"])
+    g2, ext = input_extend(g, ["i"])
     new = ext["i"]
     flow = find_pauli_flow(g)
     assert flow is not None
@@ -346,7 +347,7 @@ def test_unitary_pattern_focussed_flow_unique():
         f1 = focus_flow(g, flow)
         # perturb: fold a later correction set into an earlier one, refocus
         candidates = [
-            (u, v) for u in g.measured for v in g.measured
+            (u, v) for u in sorted(g.measured) for v in sorted(g.measured)
             if u != v and flow.order.precedes(u, v)
         ]
         if not candidates:
@@ -362,3 +363,27 @@ def test_extract_rejects_non_vertex_fset():
     # used to raise KeyError('zz') from the focus check
     with pytest.raises(ValueError, match="not focussed"):
         extract_pddag(worked_example(), None, [frozenset({"zz"})])
+
+
+@pytest.mark.parametrize("sets, named", [
+    ({"i": {"zz"}}, "i"),  # not a vertex: used to raise KeyError('zz')
+    ({"zz": {"i"}}, "zz"),  # not an input: used to be ignored
+    ({"i": set()}, "i"),  # without i: the error used to name i'
+    ({"i": {"b", "o2"}}, "i"),  # without i
+    ({"i": {"i"}}, "i"),  # not focussed over b
+])
+def test_extract_rejects_bad_extension_sets(sets, named):
+    with pytest.raises(ValueError, match=f"^extension set for '{named}': "):
+        extract_pddag(worked_example(), extension_sets=sets)
+
+
+def test_extract_rejects_extension_set_with_another_input():
+    pattern = MeasurementPattern.make(
+        ["i", "j", "o1", "o2"], [("i", "o1"), ("j", "o2"), ("o1", "o2")], ["i", "j"],
+        ["o1", "o2"], {"i": "XY", "j": "XY"}, {"i": F(1, 3), "j": F(1, 5)})
+    dag = extract_pddag(pattern)
+    ext = dag.tableau.x_corrections
+    assert extract_pddag(pattern, extension_sets=ext).tableau.rows_equal(dag.tableau)
+    both = ext["i"] ^ ext["j"]  # focussed, but holds both inputs
+    with pytest.raises(ValueError, match="^extension set for 'i': "):
+        extract_pddag(pattern, extension_sets={"i": both})

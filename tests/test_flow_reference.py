@@ -63,12 +63,12 @@ def random_order(rng, graph):
 
 def random_flow(rng, graph):
     """Correction sets of non-input vertices, mostly not a flow."""
-    p = {v: random_subset(rng, graph.prepared) for v in graph.measured}
+    p = {v: random_subset(rng, graph.prepared) for v in sorted(graph.measured)}
     return PauliFlowData(p, random_order(rng, graph))
 
 
 def random_pattern(rng, graph):
-    angles = {v: random_angle(rng, pauli=graph.is_pauli(v)) for v in graph.measured}
+    angles = {v: random_angle(rng, pauli=graph.is_pauli(v)) for v in sorted(graph.measured)}
     return MeasurementPattern(graph, angles)
 
 
@@ -91,7 +91,7 @@ def assert_same_checks(pattern, flow, rng, sets=4):
 
 def assert_same_focus(graph, p, order, v):
     odd, ref_odd = {}, {}
-    assert focus_over(graph, p, odd, order, v) == ref.focus_over(graph, p, ref_odd, order, v)
+    assert focus_over(graph, p, odd, order, p[v], v) == ref.focus_over(graph, p, ref_odd, order, v)
     assert odd == ref_odd
 
 
@@ -169,13 +169,21 @@ def test_found_and_focussed_flows():
         for fs in focussed_set_generators(g):
             assert (outcome(extraction_string, pattern, fs)
                     == outcome(ref.extraction_string, pattern, fs))
-        # a perturbed flow, then the input-extension style sweep
+        # a perturbed flow, focussed vertex by vertex, then each input's
+        # own set focussed with no vertex skipped (the X-row sweep; the
+        # reference focusses it as the set of an extra key None)
         unfocussed = dict(focussed.p)
         for v in sorted(g.measured):
             if rng.random() < 0.3:
                 unfocussed[v] = unfocussed[v] ^ random_subset(rng, g.prepared)
         for v in sorted(g.measured):
             assert_same_focus(g, unfocussed, order, v)
+        for u in sorted(g.inputs):
+            odd, ref_odd = {}, {}
+            with_start = {**unfocussed, None: frozenset({u})}
+            assert (focus_over(g, unfocussed, odd, order, {u})
+                    == ref.focus_over(g, with_start, ref_odd, order, None))
+            assert odd == ref_odd
         assert_same_checks(pattern, PauliFlowData(unfocussed, flow.order), rng)
 
 

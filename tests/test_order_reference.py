@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from pauliflow.extract import _extend_all_inputs, extract_pddag
+from pauliflow.extract import extract_pddag
 from pauliflow.flow import (
     FlowFormatError,
     FlowOrder,
@@ -23,6 +23,7 @@ from pauliflow.flow import (
 from pauliflow.graph import LabelledOpenGraph, MeasurementPattern
 from pauliflow.pddag import _linearize
 from tests.conftest import sized_circuit_pattern
+from tests.reference_extract import extend_all_inputs
 from tests.reference_order import (
     closed_order,
     depth_pairs,
@@ -157,7 +158,7 @@ def test_pipeline_flow_orders_match_reference(n):
     assert stripped.order.temporal_order(g.measured) == \
         emission_order(stripped_ref, g.measured)[::-1]
 
-    epattern, eflow, ext = _extend_all_inputs(pattern, stripped)
+    epattern, eflow, ext = extend_all_inputs(pattern, stripped)
     eg = epattern.graph
     ext_ref = closed_order(stripped_ref | {
         (ext[u], w) for u in ext for w in g.neighbours(u) | {u}})
