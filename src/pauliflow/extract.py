@@ -5,12 +5,14 @@ primary extraction string of its correction set, with an exact sign ledger:
 one flip per edge inside the set, one per Y pair, one per absorbed Pauli
 measurement at angle pi.  Tableau rows come from the inputs' extraction
 strings and the focussed-set generators.  An input u's X row is the
-stabilizer of the set {u} once it is focussed over every measured vertex,
-u included, in temporal order: the correction set the paper gives a fresh
-XY vertex u' tied to u (its input extension).  u' touches only u and no
-correction set holds an input, so the focussed set, its odd neighbourhood
-and its sign ledger are the same in the pattern's own graph, where it is
-computed; the extended graph is never built.
+stabilizer of the set {u} focussed over every measured vertex, u
+included: the correction set the paper gives a fresh XY vertex u' tied to
+u (its input extension).  u' touches only u and no correction set holds an
+input, so the focussed set, its odd neighbourhood and its sign ledger are
+the same in the pattern's own graph, where it is computed; the extended
+graph is never built.  Once the flow is focussed, that set is {u} XOR the
+correction sets of the measured vertices {u} is not focussed over (see
+``flow``).
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .flow import (
     PauliFlowData,
     find_pauli_flow_detailed,
     focus_flow,
-    focus_over,
     focussed_set_generators,
     is_flow_focussed,
     paulis_first,
+    unfocussed,
     verify_flow,
     verify_focussed,
 )
@@ -92,10 +94,9 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
 
     extension_sets optionally pins, per input u, the focussed set its X row
     is read from (see the module docstring); it must hold u and no other
-    input and be focussed over the measured vertices.  By default the set
-    {u} is focussed along the temporal order.  Rewrites thread updated sets
-    through here so both report sides use the same tableau-row
-    representatives.
+    input and be focussed over the measured vertices.  By default it is
+    the set {u} focussed.  Rewrites thread updated sets through here so
+    both report sides use the same tableau-row representatives.
     """
     g = pattern.graph
     if any(str(v).startswith("t:") for v in g.vertices):
@@ -126,13 +127,12 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
             raise ValueError(f"extension set for {u!r}: not a focussed set holding "
                              f"{u!r} and no other input")
 
-    sweep = flow.order.temporal_order(g.measured)
     # Rotation nodes, one per planar measured vertex, earliest first.
     # Identity-string nodes (a measured vertex whose angle cannot reach the
     # outputs) are kept: they are global phases, and rewrites may turn them
     # into real rotations and back.
     nodes: List[Tuple[str, Rotation]] = []
-    for v in sweep:
+    for v in flow.order.temporal_order(g.measured):
         if g.is_planar(v):
             string = extraction_string(pattern, flow, v).string
             nodes.append((v, Rotation(-string if g.labels[v] == "YZ" else string,
@@ -144,10 +144,8 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
                   for j, rot in enumerate(rots) if rot.angle != 0]
 
     # Tableau rows.
-    odd: Dict[str, FrozenSet[str]] = {}
     z_rows: Dict[str, SignedPauliString] = {}
     x_rows: Dict[str, SignedPauliString] = {}
-    traces: Dict[str, FrozenSet[str]] = {}
     corrections: Dict[str, FrozenSet[str]] = {}
     for u in sorted(g.inputs):
         if u in g.outputs:
@@ -158,9 +156,11 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
                 raise ValueError(f"input {u!r} does not give a Z extraction string")
             z_rows[u] = zs.string
         if u in extension_sets:
-            corrections[u], traces[u] = extension_sets[u], frozenset()
+            corrections[u] = extension_sets[u]
         else:
-            corrections[u], _, traces[u] = focus_over(g, flow.p, odd, sweep, {u})
+            corrections[u] = frozenset({u})
+            for w in unfocussed(g, {u}):
+                corrections[u] ^= flow.p[w]
         x_rows[u] = extraction_string(pattern, corrections[u]).string
 
     tableau = IsometryTableau(
@@ -169,7 +169,6 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
         z_rows=z_rows,
         x_rows=x_rows,
         free_rows=tuple(extraction_string(pattern, fs).string for fs in fsets),
-        x_traces=traces,
         x_corrections=corrections,
     )
     return build_pddag(tableau, nodes)

@@ -10,6 +10,13 @@ partial order held as closed successor bit masks over a vertex index.
 Identification builds it from a depth map (depth counts from the outputs,
 so ``u`` before ``v`` iff ``d(u) > d(v)``), flow switching extends it by
 pairs.
+
+Focussing takes one pass.  The focus conditions FOC1-FOC3 are linear over
+GF(2), and a focussed correction set p(w) fails them only at w, so the
+focussed set reached from a start set is unique: the start set XOR the
+focussed sets of the measured vertices it is not focussed over.  For p(v)
+those vertices other than v come after v (PF1-PF3), so visiting the
+vertices latest first finds every set it needs already focussed.
 """
 
 from __future__ import annotations
@@ -335,63 +342,45 @@ def find_pauli_flow(graph: LabelledOpenGraph) -> Optional[PauliFlowData]:
 # -- focussing -------------------------------------------------------------
 
 
-def _unfocussed(bv: BitView, members: int, odd: Optional[int] = None) -> int:
-    """Mask of the measured vertices the set is not focussed over (FOC1-FOC3),
-    from the masks of the set and (if known) of its odd neighbourhood."""
+def _unfocussed(bv: BitView, members: int) -> int:
+    """Mask of the measured vertices the set is not focussed over (FOC1-FOC3)."""
     lab = bv.label
-    odd = bv.odd(members) if odd is None else odd
+    odd = bv.odd(members)
     return ((members & (lab["XZ"] | lab["YZ"] | lab["Z"])) | (odd & (lab["XY"] | lab["X"]))
             | ((members ^ odd) & lab["Y"]))
+
+
+def unfocussed(graph: LabelledOpenGraph, members: Iterable[str]) -> FrozenSet[str]:
+    """The measured vertices the member set is not focussed over (FOC1-FOC3)."""
+    bv = graph.bit_view
+    return bv.unmask(_unfocussed(bv, bv.mask(members)))
 
 
 def verify_focussed(graph: LabelledOpenGraph, members: Iterable[str],
                     over: Iterable[str]) -> bool:
     """FOC1-FOC3 for the member set over the given measured vertices."""
-    bad = _unfocussed(graph.bit_view, graph.bit_view.mask(members))
-    return not bad or graph.bit_view.unmask(bad).isdisjoint(over)
-
-
-def focus_over(graph: LabelledOpenGraph, p: Mapping[str, FrozenSet[str]],
-               odd: Dict[str, FrozenSet[str]], order: Sequence[str],
-               start: Iterable[str], skip: Optional[str] = None,
-               ) -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
-    """Focus the start set over the vertices of order other than skip, in
-    order, by adding the correction set of each vertex it is not focussed over.
-
-    odd caches odd neighbourhoods of the sets in p and is filled on demand.
-    Returns the focussed set, its odd neighbourhood and the vertices whose
-    sets were added.
-    """
-    bv = graph.bit_view
-    current = bv.mask(start)
-    cur_odd = bv.odd(current)
-    bad = _unfocussed(bv, current, cur_odd)
-    fired = set()
-    for w in order:
-        if w != skip and bad & bv.bit.get(w, 0):
-            if w not in odd:
-                odd[w] = graph.odd_neighbourhood(p[w])
-            current, cur_odd = current ^ bv.mask(p[w]), cur_odd ^ bv.mask(odd[w])
-            fired.add(w)
-            bad = _unfocussed(bv, current, cur_odd)
-    return bv.unmask(current), bv.unmask(cur_odd), frozenset(fired)
+    return unfocussed(graph, members).isdisjoint(over)
 
 
 def focus_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
     """Make every correction set focussed over the other measured vertices.
 
-    Single sweep per vertex over a measurement-order index, combining with
-    the current correction set of each unfocussed witness.
+    One pass, latest vertex first: p(v) becomes p(v) XOR the focussed sets
+    of the vertices w != v it is not focussed over, which PF1-PF3 put after
+    v, so those sets are final (see the module docstring).
     """
     bad = verify_flow(graph, flow)
     if bad:
         raise ValueError(f"cannot focus an invalid flow: {bad}")
-    order = flow.order.temporal_order(graph.measured)
-    p = {v: frozenset(s) for v, s in flow.p.items()}
-    odd: Dict[str, FrozenSet[str]] = {}
-    for v in order:
-        p[v], odd[v], _ = focus_over(graph, p, odd, order, p[v], v)
-    return PauliFlowData(p, flow.order)
+    bv, index = graph.bit_view, flow.order.index
+    focussed: Dict[str, int] = {}  # vertex -> mask of its focussed set
+    # the order lists later vertices first; the vertices it lacks have no successors
+    for v in sorted(graph.measured, key=lambda v: index.get(v, -1)):
+        members = bv.mask(flow.p[v])
+        for w in f2.bits(_unfocussed(bv, members) & ~bv.bit[v]):
+            members ^= focussed[bv.verts[w]]
+        focussed[v] = members
+    return PauliFlowData({v: bv.unmask(focussed[v]) for v in flow.p}, flow.order)
 
 
 def is_flow_focussed(graph: LabelledOpenGraph, flow: PauliFlowData) -> bool:

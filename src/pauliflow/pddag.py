@@ -82,13 +82,12 @@ def _check_row(row: SignedPauliString, outputs: FrozenSet[str]) -> None:
 class IsometryTableau:
     """Z/X images per input plus free stabilizer generators, all over outputs.
 
-    x_traces records, per input u, the measured vertices whose correction
-    sets were added to {u} while focussing it into the set the X row is
-    read from; flow switching uses it to replay the same row updates
-    without re-running extraction.  x_corrections keeps those focussed sets
-    themselves so rewrites can update them with their flow rules instead of
-    re-running the focussing sweep (which may pick a different,
-    free-action-related row).
+    x_corrections keeps, per input u, the focussed set its X row was read
+    from, so rewrites can update it with their flow rules instead of
+    focussing {u} again on the rewritten pattern (which may pick a
+    different, free-action-related row).  Which correction sets that set
+    holds follows from the graph alone: p(w) for each measured w that {u}
+    is not focussed over.
     """
 
     inputs: Tuple[str, ...]
@@ -96,7 +95,6 @@ class IsometryTableau:
     z_rows: Mapping[str, SignedPauliString]
     x_rows: Mapping[str, SignedPauliString]
     free_rows: Tuple[SignedPauliString, ...]
-    x_traces: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
     x_corrections: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -165,20 +163,14 @@ class IsometryTableau:
         rows[dst] = multiply(rows[dst], rows[src])
         return replace(self, free_rows=tuple(rows))
 
-    def multiply_free_into_input(self, src: int, input_id: str, which: str) -> "IsometryTableau":
-        if which not in ("z", "x"):
-            raise ValueError("which must be 'z' or 'x'")
-        return self._times_input_row(input_id, which, self.free_rows[src])
-
     def multiply_input_by_string(self, input_id: str, which: str,
                                  string: SignedPauliString) -> "IsometryTableau":
-        """Multiply an input row by a string from the free-row group."""
+        """Multiply input_id's Z row (which "z") or X row (which "x") by a
+        string from the free-row group."""
+        if which not in ("z", "x"):
+            raise ValueError("which must be 'z' or 'x'")
         if self.free_combo(string) is None:
             raise ValueError("string is not in the free-row group")
-        return self._times_input_row(input_id, which, string)
-
-    def _times_input_row(self, input_id: str, which: str,
-                         string: SignedPauliString) -> "IsometryTableau":
         field_name = "z_rows" if which == "z" else "x_rows"
         rows = dict(getattr(self, field_name))
         rows[input_id] = multiply(rows[input_id], string)
@@ -391,9 +383,6 @@ class Pddag:
             if not (comparable >> x) & 1 and not commutes(new_rot.string, self.nodes[other].string):
                 succ[i] |= 1 << x
         return Pddag(self.tableau, _linearize(self.node_ids, succ), nodes)
-
-    def apply_stabilizer_rewrite(self, nid: str, free_index: int) -> "Pddag":
-        return self.stabilizer_rewrite_by_string(nid, self.tableau.free_rows[free_index])
 
     def with_tableau(self, tableau: IsometryTableau) -> "Pddag":
         return Pddag(tableau, self.node_ids, dict(self.nodes))

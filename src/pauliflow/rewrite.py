@@ -23,6 +23,7 @@ from .flow import (
     PauliFlowData,
     is_flow_focussed,
     switch_flow,
+    unfocussed,
     verify_flow,
 )
 from .graph import LabelledOpenGraph, MeasurementPattern, TrailingGate
@@ -336,7 +337,8 @@ def switch_flow_rewrite(pattern: MeasurementPattern, flow: PauliFlowData,
     """Add a focussed set to p(u); the pattern itself is unchanged.
 
     Simulated by a stabilizer rewrite on u's node (planar u) and free
-    actions on the tableau rows whose derivation involved p(u).
+    actions on the tableau rows whose derivation involved p(u): the Z row
+    of u and the X row of each input w with {w} not focussed over u.
     """
     _require_focussed(pattern, flow)
     g = pattern.graph
@@ -344,19 +346,17 @@ def switch_flow_rewrite(pattern: MeasurementPattern, flow: PauliFlowData,
     base = extract_pddag(pattern, flow, fsets)
     sim = base
     stab = extraction_string(pattern, fset).string
-    ext2 = {
-        w: s ^ frozenset(fset) if u in base.tableau.x_traces.get(w, frozenset()) else s
-        for w, s in base.tableau.x_corrections.items()
-    }
+    involved = {w for w in g.inputs if u in unfocussed(g, {w})}
+    ext2 = {w: s ^ frozenset(fset) if w in involved else s
+            for w, s in base.tableau.x_corrections.items()}
     if not stab.is_identity_string():
         if u in sim.nodes:
             sim = sim.stabilizer_rewrite_by_string(u, stab)
         tab = sim.tableau
         if u in g.inputs:
             tab = tab.multiply_input_by_string(u, "z", stab)
-        for w in tab.inputs:
-            if u in tab.x_traces.get(w, frozenset()):
-                tab = tab.multiply_input_by_string(w, "x", stab)
+        for w in sorted(involved):
+            tab = tab.multiply_input_by_string(w, "x", stab)
         sim = sim.with_tableau(tab)
     return RewriteReport(
         pattern, flow2, tuple(fsets),

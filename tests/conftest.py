@@ -120,6 +120,39 @@ def random_labelled_graph(rng, n, labels=("XY", "XZ", "YZ", "X", "Y", "Z")):
     return LabelledOpenGraph.make(verts, edges, inputs, outputs, lab)
 
 
+FOREIGN = ("w0", "w1")  # order entries that are not graph vertices
+
+
+def random_subset(rng, items, share=0.3):
+    return frozenset(v for v in sorted(items) if rng.random() < share)
+
+
+def random_order(rng, graph):
+    """A depth or pair order over a random part of the graph's vertices,
+    sometimes with vertices the graph lacks."""
+    verts = sorted(random_subset(rng, graph.vertices, rng.random()))
+    if rng.random() < 0.3:
+        verts += FOREIGN[:rng.randrange(3)]
+    rng.shuffle(verts)
+    if rng.random() < 0.4:
+        depth = {v: rng.randrange(4) for v in verts}
+        spread = sorted(random_subset(rng, graph.vertices, 0.5))
+        return FlowOrder.from_depth(depth, spread if rng.random() < 0.5 else ())
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:] if rng.random() < 0.3]
+    return FlowOrder.from_pairs(pairs)
+
+
+def random_flow(rng, graph):
+    """Correction sets of non-input vertices, mostly not a flow."""
+    p = {v: random_subset(rng, graph.prepared) for v in sorted(graph.measured)}
+    return PauliFlowData(p, random_order(rng, graph))
+
+
+def random_pattern(rng, graph):
+    angles = {v: random_angle(rng, pauli=graph.is_pauli(v)) for v in sorted(graph.measured)}
+    return MeasurementPattern(graph, angles)
+
+
 def random_flowful_pattern(rng, max_vertices=8, attempts=4000):
     """Rejection-sample a labelled graph until it has a Pauli flow."""
     from pauliflow.flow import find_pauli_flow

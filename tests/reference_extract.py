@@ -85,7 +85,9 @@ def append_trailing(dag, trailing):
 
 
 def extract_pddag(pattern, flow=None, fsets=None, extension_sets=None):
-    """Pattern -> Pddag with X rows from input extensions."""
+    """Pattern -> Pddag with X rows from input extensions.  Returns the
+    Pddag and, per input, the vertices whose correction sets the X-row
+    sweep added (none for a supplied extension set)."""
     g = pattern.graph
     if flow is None:
         flow, stuck = find_pauli_flow_detailed(g)
@@ -143,7 +145,6 @@ def extract_pddag(pattern, flow=None, fsets=None, extension_sets=None):
         z_rows=z_rows,
         x_rows=x_rows,
         free_rows=tuple(ref.extraction_string(pattern, fs).string for fs in fsets),
-        x_traces=traces,
         x_corrections=corrections,
     )
-    return append_trailing(build_pddag(tableau, nodes), pattern.trailing)
+    return append_trailing(build_pddag(tableau, nodes), pattern.trailing), traces

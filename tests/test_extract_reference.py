@@ -3,12 +3,14 @@
 The library reads each input's X row from the set {u} focussed on the
 pattern's own graph; the reference builds the input extension the paper
 uses.  Both must give the same rotation nodes (ids, order, strings and
-angles, trailing gates included) and the same tableau: Z, X and free rows,
-X-row traces and X-row correction sets.  The families are random graphs
-whose inputs may also be outputs, with all six labels; circuit-shaped
-patterns with and without prepared wires, at random and fixed sizes; and
-the patterns after each of the five rewrites, extracted with the
-extension sets the rewrite supplies.
+angles, trailing gates included) and the same tableau: Z, X and free rows
+and X-row correction sets.  The vertices whose sets the reference's X-row
+sweep adds to {u} must be exactly the measured vertices {u} is not
+focussed over, the ones the library adds in one pass.  The families are
+random graphs whose inputs may also be outputs, with all six labels;
+circuit-shaped patterns with and without prepared wires, at random and
+fixed sizes; and the patterns after each of the five rewrites, extracted
+with the extension sets the rewrite supplies.
 """
 
 import random
@@ -20,6 +22,7 @@ from pauliflow.extract import extract_pddag
 from pauliflow.flow import find_pauli_flow, focus_flow, focussed_set_generators
 from pauliflow.graph import ALL_LABELS, LabelledOpenGraph, MeasurementPattern, TrailingGate
 from tests import reference_extract as ref
+from tests import reference_flow
 from tests.conftest import (
     random_angle,
     random_circuit_pattern,
@@ -32,17 +35,20 @@ from tests.test_rewrite_chains import _applicable, _apply
 
 
 def assert_same_extraction(pattern, flow=None, fsets=None, extension_sets=None):
+    """Returns the library's Pddag and the reference's X-row traces."""
     got = extract_pddag(pattern, flow, fsets, extension_sets)
-    want = ref.extract_pddag(pattern, flow, fsets, extension_sets)
+    want, traces = ref.extract_pddag(pattern, flow, fsets, extension_sets)
     assert got.node_ids == want.node_ids
     assert got.nodes == want.nodes
     t, r = got.tableau, want.tableau
     assert (t.inputs, t.outputs, t.free_rows) == (r.inputs, r.outputs, r.free_rows)
     assert t.z_rows == r.z_rows
     assert t.x_rows == r.x_rows
-    assert t.x_traces == r.x_traces
     assert t.x_corrections == r.x_corrections
-    return got
+    g = pattern.graph
+    for u in g.inputs - set(extension_sets or ()):
+        assert traces[u] == reference_flow.unfocussed(g, {u})
+    return got, traces
 
 
 def random_open_graph(rng, n):
@@ -67,12 +73,12 @@ def test_random_graphs_inputs_overlapping_outputs():
         if flow is None:
             continue
         angles = {v: random_angle(rng, pauli=g.is_pauli(v)) for v in sorted(g.measured)}
-        dag = assert_same_extraction(MeasurementPattern(g, angles), flow)
+        _, traces = assert_same_extraction(MeasurementPattern(g, angles), flow)
         cases += 1
         overlapping += bool(g.inputs & g.outputs)
         for u in g.inputs - g.outputs:
             input_labels.add(g.labels[u])
-            self_fired += u in dag.tableau.x_traces[u]
+            self_fired += u in traces[u]
     assert overlapping >= 300
     assert {"X", "Y"} <= input_labels
     assert self_fired >= 10
@@ -93,10 +99,10 @@ def test_pauli_labelled_inputs():
         pauli_inputs = [u for u in sorted(g.inputs - g.outputs) if g.labels[u] in seen]
         if not pauli_inputs:
             continue
-        dag = assert_same_extraction(pattern, flow)
+        _, traces = assert_same_extraction(pattern, flow)
         for u in pauli_inputs:
             seen[g.labels[u]] += 1
-            fired[g.labels[u]] += u in dag.tableau.x_traces[u]
+            fired[g.labels[u]] += u in traces[u]
     assert fired == {"X": 0, "Y": seen["Y"]}
 
 
@@ -125,7 +131,7 @@ def test_trailing_gates():
              TrailingGate("o1", "RX", Fraction(1, 3)), TrailingGate("o2", "S"),
              TrailingGate("o1", "RZ", Fraction(2))]
     pattern = worked_example()
-    dag = assert_same_extraction(pattern.with_graph(pattern.graph, trailing=gates))
+    dag, _ = assert_same_extraction(pattern.with_graph(pattern.graph, trailing=gates))
     assert [i for i in dag.node_ids if i.startswith("t:")] == ["t:4.0", "t:4.1", "t:4.2", "t:2", "t:1"]
 
 
@@ -149,7 +155,7 @@ def test_rewrites_with_supplied_extension_sets():
             assert report.consistent
             pattern, flow, fsets = report.pattern_after, report.flow_after, report.fsets_after
             supplied = report.pddag_via_pattern.tableau.x_corrections
-            got = assert_same_extraction(pattern, flow, fsets, supplied)
+            got, _ = assert_same_extraction(pattern, flow, fsets, supplied)
             assert got.nodes == report.pddag_via_pattern.nodes
             kinds[kind] += 1
     assert min(kinds.values()) >= 10, kinds

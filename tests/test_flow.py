@@ -31,6 +31,7 @@ from tests.brute import (
 )
 from tests.conftest import (
     worked_example_fset,
+    random_circuit_pattern,
     random_flowful_pattern,
     random_labelled_graph,
 )
@@ -220,6 +221,31 @@ def test_focus_random_flows():
         focussed = focus_flow(g, flow)
         assert verify_flow(g, focussed) == []
         assert is_flow_focussed(g, focussed)
+
+
+def test_focussed_flow_is_unique():
+    """The focussed flow reached from a valid flow is unique: focussing a
+    focussed flow changes nothing, and so does first adding p(b) to p(a)
+    for any a before b that keeps the flow valid."""
+    rng = random.Random(24)
+    cases = [random_flowful_pattern(rng, max_vertices=10) for _ in range(60)]
+    cases += [(p, find_pauli_flow(p.graph)) for p in
+              (random_circuit_pattern(rng, rng.randrange(1, 5), rng.randrange(2, 16))
+               for _ in range(40))]
+    perturbed = 0
+    for pattern, flow in cases:
+        g = pattern.graph
+        focussed = focus_flow(g, flow)
+        assert focus_flow(g, focussed).p == focussed.p
+        measured = sorted(g.measured)
+        pairs = [(a, b) for a in measured for b in measured if flow.order.precedes(a, b)]
+        for a, b in rng.sample(pairs, min(len(pairs), 12)):
+            for base in (flow, focussed):
+                changed = add_correction_sets(base, a, b)
+                if verify_flow(g, changed) == []:
+                    assert focus_flow(g, changed).p == focussed.p
+                    perturbed += 1
+    assert perturbed >= 500
 
 
 def test_verify_focussed_examples(worked_pattern):

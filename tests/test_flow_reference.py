@@ -1,13 +1,17 @@
-"""Differential tests: the bit-mask flow and focus checks and extraction
-strings against the string-set code kept in reference_flow.py.
+"""Differential tests: the bit-mask flow and focus checks, the one-pass
+focussing and the extraction strings against the string-set code kept in
+reference_flow.py.
 
-Violation lists (order included), booleans, focussed sets with their odd
-neighbourhoods and fired vertices, and extraction strings must match
-exactly, as must the exception type whenever one side raises.  Inputs are
-random labelled graphs with random, mostly invalid, correction sets and
-random orders (some omit graph vertices, some list vertices outside the
-graph), found and focussed flows of circuit-shaped patterns, and patterns
-after local complementations and pivots, which carry XZ, YZ and Z labels.
+Violation lists (order included), booleans and extraction strings must
+match exactly, as must the exception type whenever one side raises.
+Inputs are random labelled graphs with random, mostly invalid, correction
+sets and random orders (some omit graph vertices, some list vertices
+outside the graph), found and focussed flows of circuit-shaped patterns,
+and patterns after local complementations and pivots, which carry XZ, YZ
+and Z labels.  ``focus_flow`` must give the sets of the reference sweep,
+which focusses each correction set in temporal order, vertex by vertex:
+on found flows, on flows after ``switch_flow``, on ``add_correction_sets``
+perturbations that stay valid, and on the flows after lc and pivot.
 """
 
 import random
@@ -16,22 +20,27 @@ import pytest
 
 from pauliflow.extract import extraction_string, primary_axis
 from pauliflow.flow import (
-    FlowOrder,
     PauliFlowData,
+    add_correction_sets,
     find_pauli_flow,
     focus_flow,
-    focus_over,
     focussed_set_generators,
     is_flow_focussed,
+    switch_flow,
     verify_flow,
     verify_focussed,
 )
-from pauliflow.graph import MeasurementPattern
 from pauliflow.rewrite import local_complement_pattern, pivot_pattern
 from tests import reference_flow as ref
-from tests.conftest import random_angle, random_circuit_pattern, random_labelled_graph
-
-FOREIGN = ("w0", "w1")  # order entries that are not graph vertices
+from tests.conftest import (
+    FOREIGN,
+    random_circuit_pattern,
+    random_flow,
+    random_labelled_graph,
+    random_pattern,
+    random_subset,
+    with_prepared_wires,
+)
 
 
 def outcome(call, *args):
@@ -40,36 +49,6 @@ def outcome(call, *args):
         return call(*args)
     except (KeyError, ValueError) as exc:
         return type(exc)
-
-
-def random_subset(rng, items, share=0.3):
-    return frozenset(v for v in sorted(items) if rng.random() < share)
-
-
-def random_order(rng, graph):
-    """A depth or pair order over a random part of the graph's vertices,
-    sometimes with vertices the graph lacks."""
-    verts = sorted(random_subset(rng, graph.vertices, rng.random()))
-    if rng.random() < 0.3:
-        verts += FOREIGN[:rng.randrange(3)]
-    rng.shuffle(verts)
-    if rng.random() < 0.4:
-        depth = {v: rng.randrange(4) for v in verts}
-        spread = sorted(random_subset(rng, graph.vertices, 0.5))
-        return FlowOrder.from_depth(depth, spread if rng.random() < 0.5 else ())
-    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:] if rng.random() < 0.3]
-    return FlowOrder.from_pairs(pairs)
-
-
-def random_flow(rng, graph):
-    """Correction sets of non-input vertices, mostly not a flow."""
-    p = {v: random_subset(rng, graph.prepared) for v in sorted(graph.measured)}
-    return PauliFlowData(p, random_order(rng, graph))
-
-
-def random_pattern(rng, graph):
-    angles = {v: random_angle(rng, pauli=graph.is_pauli(v)) for v in sorted(graph.measured)}
-    return MeasurementPattern(graph, angles)
 
 
 def assert_same_checks(pattern, flow, rng, sets=4):
@@ -89,10 +68,16 @@ def assert_same_checks(pattern, flow, rng, sets=4):
                 == outcome(ref.extraction_string, pattern, members))
 
 
-def assert_same_focus(graph, p, order, v):
-    odd, ref_odd = {}, {}
-    assert focus_over(graph, p, odd, order, p[v], v) == ref.focus_over(graph, p, ref_odd, order, v)
-    assert odd == ref_odd
+def assert_same_focus(graph, flow):
+    """focus_flow against the reference sweep; returns the focussed flow."""
+    focussed = focus_flow(graph, flow)
+    order = flow.order.temporal_order(graph.measured)
+    p, odd = dict(flow.p), {}
+    for v in order:
+        p[v], odd[v], _ = ref.focus_over(graph, p, odd, order, v)
+    assert focussed.p == p
+    assert focussed.order is flow.order
+    return focussed
 
 
 def test_random_graphs_random_flows():
@@ -104,11 +89,6 @@ def test_random_graphs_random_flows():
         flow = random_flow(rng, g)
         assert_same_checks(pattern, flow, rng)
         found.update(c for _, c in verify_flow(g, flow))
-        measured = sorted(g.measured)
-        if measured:
-            order = measured + list(FOREIGN[:rng.randrange(3)])
-            rng.shuffle(order)
-            assert_same_focus(g, flow.p, order, rng.choice(measured))
     # the sample reaches every condition
     assert found == {f"PF{k}" for k in range(1, 10)}
 
@@ -154,37 +134,44 @@ def _circuit_cases(seed, count):
 
 
 def test_found_and_focussed_flows():
-    for rng, pattern, flow in _circuit_cases(1104, 80):
+    switched = perturbed = 0
+    for rng, pattern, _ in _circuit_cases(1104, 80):
+        # prepared wires give focussed sets to switch with
+        pattern = with_prepared_wires(pattern, rng.randrange(len(pattern.graph.inputs) + 1))
         g = pattern.graph
+        flow = find_pauli_flow(g)
         assert_same_checks(pattern, flow, rng)
-        focussed = focus_flow(g, flow)
+        focussed = assert_same_focus(g, flow)
         assert_same_checks(pattern, focussed, rng)
-        # focussing along the reference: the same sets, vertex by vertex
-        order = flow.order.temporal_order(g.measured)
-        p = dict(flow.p)
-        odd = {}
-        for v in order:
-            p[v], odd[v], _ = ref.focus_over(g, p, odd, order, v)
-        assert p == focussed.p
-        for fs in focussed_set_generators(g):
+        fsets = focussed_set_generators(g)
+        for fs in fsets:
             assert (outcome(extraction_string, pattern, fs)
                     == outcome(ref.extraction_string, pattern, fs))
-        # a perturbed flow, focussed vertex by vertex, then each input's
-        # own set focussed with no vertex skipped (the X-row sweep; the
-        # reference focusses it as the set of an extra key None)
+        # the found flow with a focussed set added at a vertex, where the
+        # switch is not blocked
+        measured = sorted(g.measured)
+        for fs in fsets:
+            try:
+                after = switch_flow(g, flow, rng.choice(measured), fs)
+            except ValueError:
+                continue
+            assert_same_focus(g, after)
+            switched += 1
+        # p(b) added to p(a) for a before b, where the flow stays valid
+        pairs = [(a, b) for a in measured for b in measured if flow.order.precedes(a, b)]
+        for a, b in rng.sample(pairs, min(len(pairs), 8)):
+            for base in (flow, focussed):
+                changed = add_correction_sets(base, a, b)
+                if verify_flow(g, changed) == []:
+                    assert_same_focus(g, changed)
+                    perturbed += 1
+        # a perturbed, mostly invalid flow: the checks only
         unfocussed = dict(focussed.p)
-        for v in sorted(g.measured):
+        for v in measured:
             if rng.random() < 0.3:
                 unfocussed[v] = unfocussed[v] ^ random_subset(rng, g.prepared)
-        for v in sorted(g.measured):
-            assert_same_focus(g, unfocussed, order, v)
-        for u in sorted(g.inputs):
-            odd, ref_odd = {}, {}
-            with_start = {**unfocussed, None: frozenset({u})}
-            assert (focus_over(g, unfocussed, odd, order, {u})
-                    == ref.focus_over(g, with_start, ref_odd, order, None))
-            assert odd == ref_odd
         assert_same_checks(pattern, PauliFlowData(unfocussed, flow.order), rng)
+    assert switched >= 40 and perturbed >= 200, (switched, perturbed)
 
 
 @pytest.mark.parametrize("kind", ["lc", "pivot"])
@@ -208,8 +195,6 @@ def test_patterns_after_rewrites(kind):
         for fs in report.fsets_after:
             assert (outcome(extraction_string, after, fs)
                     == outcome(ref.extraction_string, after, fs))
-        order = flow2.order.temporal_order(after.graph.measured)
-        for v in sorted(after.graph.measured):
-            assert_same_focus(after.graph, flow2.p, order, v)
+        assert_same_focus(after.graph, flow2)
     # lc turns an XY centre into XZ, a pivot its XY ends into YZ
     assert {"lc": "XZ", "pivot": "YZ"}[kind] in labels

@@ -66,9 +66,12 @@ def test_multiply_free_into_input_row():
         {"i": -from_letter_map({"o1": "Y", "o2": "Z"})},
         (from_letter_map({"o1": "Z", "o2": "X"}),),
     )
-    out = tab.multiply_free_into_input(0, "i", "x")
+    out = tab.multiply_input_by_string("i", "x", tab.free_rows[0])
     assert out.x_rows["i"] == from_letter_map({"o1": "X", "o2": "Y"})
     assert out.z_rows["i"] == tab.z_rows["i"]
+    # a row name other than z or x is an error, not the X row
+    with pytest.raises(ValueError, match="which"):
+        tab.multiply_input_by_string("i", "q", tab.free_rows[0])
 
 
 def test_free_combo_signed():
@@ -332,7 +335,7 @@ def test_stabilizer_rewrite_oracle():
     dag = two_wire_fixture()
     # free row Z(x)X(y) commutes with q's X(x)Y(y) and with nothing before q
     # blocking it; the rewrite must preserve the map
-    rewritten = dag.apply_stabilizer_rewrite("q", 0)
+    rewritten = dag.stabilizer_rewrite_by_string("q", dag.tableau.free_rows[0])
     assert equal_up_to_phase(pddag_semantics(rewritten), pddag_semantics(dag), 1e-9)
     assert rewritten.nodes["q"].string == dag.nodes["q"].string * dag.tableau.free_rows[0]
 
@@ -517,7 +520,8 @@ def test_random_mutations_oracle_equal():
                             for a in dag.ancestors(i))
                 ]
                 if targets:
-                    mutated = dag.apply_stabilizer_rewrite(rng.choice(targets), row)
+                    mutated = dag.stabilizer_rewrite_by_string(
+                        rng.choice(targets), dag.tableau.free_rows[row])
             elif kind == "merge":
                 po = dag.partial_order()
                 pairs = [

@@ -625,6 +625,31 @@ def test_random_switch_sweep():
         assert is_flow_focussed(pattern.graph, report.flow_after)
 
 
+def test_switch_reads_x_rows_from_the_new_flow():
+    """After a switch at u, each input w's X row is read from the set a
+    fresh extraction with the new flow uses: {w} focussed, which holds the
+    new p(u) iff {w} is not focussed over u (always for a Y input u = w)."""
+    rng = random.Random(65)
+    switches = at_y_input = 0
+    for _ in range(200):
+        pattern, flow = random_flowful_pattern(rng, max_vertices=7)
+        g = pattern.graph
+        flow = focus_flow(g, flow)
+        fsets = focussed_set_generators(g)
+        for fs in fsets:
+            for u in sorted(g.measured):
+                try:
+                    report = switch_flow_rewrite(pattern, flow, fsets, u, fs)
+                except ValueError:
+                    continue
+                fresh = extract_pddag(pattern, report.flow_after, fsets)
+                assert report.pddag_via_pattern.tableau.x_corrections == \
+                    fresh.tableau.x_corrections
+                switches += 1
+                at_y_input += u in g.inputs and g.labels[u] == "Y"
+    assert switches >= 400 and at_y_input >= 8, (switches, at_y_input)
+
+
 def _switch_sequence_between(pattern, flow_from, flow_to):
     """Per-vertex correction differences, realized as flow switches."""
     g = pattern.graph

@@ -19,8 +19,8 @@ import hashlib
 import random
 
 from tests.conftest import (
-    random_circuit_pattern, random_flowful_pattern, random_labelled_graph)
-from tests.test_flow_reference import random_flow, random_pattern
+    random_circuit_pattern, random_flow, random_flowful_pattern, random_labelled_graph,
+    random_pattern)
 
 
 def describe(pattern, flow=None):
