@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from pauliflow.pauli import (
     Rotation, commutes, from_letter_map, gate_to_exponentials, multiply,
-    product_rotation, reorder_push, single,
+    reorder_push, single,
 )
 
 x1, z1 = single("q1", "X"), single("q1", "Z")
@@ -25,9 +25,9 @@ quarter = Rotation(single("q1", "X"), Fraction(1, 2))
 print("pushing Z(q1) through a quarter X turn gives", reorder_push(quarter, z1))
 
 # Multiplying a rotation axis by a commuting stabilizer of its target
-rot = Rotation(from_letter_map({"1": "Y", "2": "Z"}), Fraction(1, 3))
+axis = from_letter_map({"1": "Y", "2": "Z"})
 stab = from_letter_map({"1": "Z", "2": "X"})
-print("product rotation axis:", product_rotation(rot, stab).string)
+print("product rotation axis:", multiply(axis, stab))
 
 # Common gates as Pauli exponentials (operator order, leftmost acts last)
 print("\nCZ(c,t) as exponentials:")

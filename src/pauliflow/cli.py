@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -42,12 +43,12 @@ def parse_angle(obj, path: str, float_angles: bool = False) -> Fraction:
         extra = set(obj) - {"num", "den"}
         if extra:
             raise SchemaError(path, f"unknown angle fields {sorted(extra)}")
-        if not isinstance(obj.get("num"), int) or not isinstance(obj.get("den"), int):
+        if type(obj.get("num")) is not int or type(obj.get("den")) is not int:
             raise SchemaError(path, "angle needs integer num and den")
         if obj["den"] == 0:
             raise SchemaError(path, "angle denominator must not be zero")
         return Fraction(obj["num"], obj["den"])
-    if isinstance(obj, (int, float)) and float_angles:
+    if type(obj) in (int, float) and float_angles and math.isfinite(obj):
         frac = Fraction(obj).limit_denominator(10 ** 6)
         if abs(frac - Fraction(obj)) > Fraction(1, 10 ** 12):
             raise SchemaError(path, f"{obj} is not close to a rational multiple of pi")
@@ -190,7 +191,7 @@ def parse_flow(obj, path: str, vertices=()) -> flow_mod.PauliFlowData:
     }
     if "depth" in obj:
         for v, d in obj["depth"].items():
-            if not isinstance(d, int) or d < 0:
+            if type(d) is not int or d < 0:
                 raise SchemaError(f"{path}/depth/{v}", "expected a non-negative integer")
         order = flow_mod.FlowOrder.from_depth(obj["depth"], vertices)
     else:
@@ -518,6 +519,12 @@ def _semantics_of(doc, float_angles):
 
 
 def cmd_verify_equal(args) -> int:
+    if not math.isfinite(args.tol) or args.tol < 0:
+        raise SchemaError("--tol", f"{args.tol} is not a finite non-negative number")
+    try:
+        oracle_mod.qubit_cap()
+    except ValueError:
+        raise SchemaError("PAULIFLOW_MAX_QUBITS", "expected an integer")
     a = _semantics_of(_load(args.a), args.float_angles)
     b = _semantics_of(_load(args.b), args.float_angles)
     equal = oracle_mod.equal_up_to_phase(a, b, args.tol)

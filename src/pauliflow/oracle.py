@@ -278,15 +278,3 @@ def equal_up_to_phase(a: DenseMap, b: DenseMap, tol: float = DEFAULT_TOL) -> boo
     if abs(scale) <= tol:
         return False
     return bool(np.max(np.abs(ma - scale * mb)) <= tol)
-
-
-def pauli_absorption_check(pattern: MeasurementPattern, u: str, p: str,
-                           tol: float = DEFAULT_TOL) -> bool:
-    """Densely confirm <+_{P,a pi}| == (-1)^a <+_{P,a pi}| P for vertex u."""
-    label = pattern.graph.labels.get(u)
-    if label != p:
-        raise ValueError(f"vertex {u!r} has label {label!r}, not {p!r}")
-    a = int(pattern.angles[u] % 2)
-    bra = measurement_bra(p, pattern.angles[u])
-    rhs = (-1) ** a * bra @ _PAULI_MATS[p]
-    return bool(np.max(np.abs(bra - rhs)) <= tol)

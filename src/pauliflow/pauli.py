@@ -275,17 +275,6 @@ def reorder_pull(quarter: Rotation, b: SignedPauliString) -> SignedPauliString:
     return reorder_push(Rotation(quarter.string, -quarter.angle), b)
 
 
-def product_rotation(rot: Rotation, stab: SignedPauliString) -> Rotation:
-    """Multiply a rotation axis by a commuting stabilizer of its target.
-
-    The equality ``exp(i t A) C = exp(i t A B) C`` holds only when B
-    stabilizes the downstream map C; that part is the caller's obligation.
-    """
-    if not commutes(rot.string, stab):
-        raise ValueError("axis and stabilizer anticommute")
-    return Rotation(multiply(rot.string, stab), rot.angle)
-
-
 HALF = Fraction(1, 2)
 
 

@@ -1,11 +1,15 @@
 """Pauli Dependency DAGs: isometry tableau plus an anticommutation-ordered
-rotation list, with the rewrite moves used to simulate pattern rewrites.
+rotation list, with the moves that simulate pattern rewrites.
 
 A Pddag stores its rotation nodes in one valid temporal linearization
 (earliest applied first).  The canonical dependency DAG is derived from it:
 orient every anticommuting pair by list position, close transitively and
 take the Hasse diagram.  Any two linearizations of the same process give
 the same canonical DAG, which is what gets compared and serialized.
+
+The rewrites are simulated by pushing Clifford nodes, pulling rotations
+from the tableau and stabilizer rewrites; the paper's Fig. 2 example also
+reads a unitary circuit, pushes all its Clifford nodes and merges nodes.
 
 Synthesis completes the isometry tableau to a unitary one (each free row
 is the Z image of a fresh |0> wire, its X partner solved over GF(2)) and
@@ -20,7 +24,6 @@ the reduction reversed, followed by one rotation per node.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -29,7 +32,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from . import f2
 from .pauli import (
     GATE_ROTATIONS,
-    HALF,
     Rotation,
     SignedPauliString,
     commutes,
@@ -150,18 +152,6 @@ class IsometryTableau:
         )
 
     # -- free actions -----------------------------------------------------
-
-    def swap_free(self, i: int, j: int) -> "IsometryTableau":
-        rows = list(self.free_rows)
-        rows[i], rows[j] = rows[j], rows[i]
-        return replace(self, free_rows=tuple(rows))
-
-    def multiply_free_into_free(self, src: int, dst: int) -> "IsometryTableau":
-        if src == dst:
-            raise ValueError("source and destination rows coincide")
-        rows = list(self.free_rows)
-        rows[dst] = multiply(rows[dst], rows[src])
-        return replace(self, free_rows=tuple(rows))
 
     def multiply_input_by_string(self, input_id: str, which: str,
                                  string: SignedPauliString) -> "IsometryTableau":
@@ -365,24 +355,26 @@ class Pddag:
         target = self.nodes[nid]
         if not commutes(target.string, string):
             raise ValueError("stabilizer anticommutes with the node string")
-        blockers = [
-            a for a in self.ancestors(nid)
-            if not commutes(self.nodes[a].string, string)
-        ]
+        ids = self.node_ids
+        i = ids.index(nid)
+        ancestors = self._ancestor_mask(i)
+        blockers = [ids[a] for a in f2.bits(ancestors)
+                    if not commutes(self.nodes[ids[a]].string, string)]
         if blockers:
             raise ValueError(f"anticommuting blockers {sorted(blockers)} before {nid!r}")
         new_rot = Rotation(multiply(target.string, string), target.angle)
-        nodes = dict(self.nodes)
-        nodes[nid] = new_rot
-        # The rewritten node may newly anticommute with nodes it was
-        # incomparable to; it must come before those, so relinearize.
-        i = self.node_ids.index(nid)
-        succ = list(self._order_masks[1])
-        comparable = self._order_masks[0][i] | self._ancestor_mask(i) | (1 << i)
-        for x, other in enumerate(self.node_ids):
-            if not (comparable >> x) & 1 and not commutes(new_rot.string, self.nodes[other].string):
-                succ[i] |= 1 << x
-        return Pddag(self.tableau, _linearize(self.node_ids, succ), nodes)
+        # The new string may anticommute with earlier nodes incomparable to
+        # it.  Every new ordering leaves it, so those nodes and their
+        # descendants before it move to just after it, in their old order.
+        before = (1 << i) - 1
+        late = 0
+        for x in f2.bits(before & ~ancestors):
+            if not commutes(new_rot.string, self.nodes[ids[x]].string):
+                late |= 1 << x | self._order_masks[0][x]
+        late &= before
+        order = (*(ids[k] for k in f2.bits(before & ~late)), nid,
+                 *(ids[k] for k in f2.bits(late)), *ids[i + 1:])
+        return Pddag(self.tableau, order, {**self.nodes, nid: new_rot})
 
     def with_tableau(self, tableau: IsometryTableau) -> "Pddag":
         return Pddag(tableau, self.node_ids, dict(self.nodes))
@@ -399,25 +391,6 @@ def _merged_angle(a: Rotation, b: Rotation) -> Optional[Fraction]:
 
 def _mask_pairs(ids: Sequence[str], succ: Sequence[int]) -> FrozenSet[Tuple[str, str]]:
     return frozenset((ids[i], ids[j]) for i, m in enumerate(succ) for j in f2.bits(m))
-
-
-def _linearize(ids: Sequence[str], succ: Sequence[int]) -> Tuple[str, ...]:
-    """Topological order of the successor masks, preferring list position
-    (Kahn's algorithm with a position heap)."""
-    waiting = [0] * len(ids)
-    for m in succ:
-        for j in f2.bits(m):
-            waiting[j] += 1
-    heap = [i for i, w in enumerate(waiting) if not w]
-    out: List[str] = []
-    while heap:
-        i = heapq.heappop(heap)
-        out.append(ids[i])
-        for j in f2.bits(succ[i]):
-            waiting[j] -= 1
-            if not waiting[j]:
-                heapq.heappush(heap, j)
-    return tuple(out)
 
 
 def build_pddag(tableau: IsometryTableau, ordered_nodes: Sequence[Tuple[str, Rotation]]) -> Pddag:
@@ -467,28 +440,6 @@ def push_clifford_nodes(dag: Pddag) -> Pddag:
         if nid is None:
             return dag
         dag = dag.push_clifford_front(nid)
-
-
-def canonicalize_angles(dag: Pddag) -> Pddag:
-    """Split off and push Clifford parts so every angle lies in (0, pi/2)."""
-    dag = push_clifford_nodes(dag)
-    while True:
-        target = next(
-            (i for i in dag.node_ids if dag.nodes[i].angle >= HALF), None
-        )
-        if target is None:
-            return dag
-        rot = dag.nodes[target]
-        residue = rot.angle % HALF
-        mover = Rotation(rot.string, rot.angle - residue)
-        nodes = dag._transported(mover, dag.node_ids.index(target), pull=False)
-        if residue == 0:
-            nodes.pop(target)
-            ids = tuple(i for i in dag.node_ids if i != target)
-        else:
-            nodes[target] = Rotation(rot.string, residue)
-            ids = dag.node_ids
-        dag = Pddag(dag.tableau.conjugated(mover, pull=False), ids, nodes)
 
 
 def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], List[SignedPauliString]]:

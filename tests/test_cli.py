@@ -86,6 +86,40 @@ def test_float_angle_snapping():
         parse_pattern_document(doc)  # floats rejected without the flag
 
 
+@pytest.mark.parametrize("angle", [{"num": True, "den": 2}, {"num": 1, "den": True}])
+@pytest.mark.parametrize("float_angles", [False, True])
+def test_schema_rejects_boolean_num_den(angle, float_angles):
+    # {"num": true, "den": 2} used to extract as pi/2
+    doc = worked_doc()
+    doc["angles"]["i"] = angle
+    with pytest.raises(SchemaError) as err:
+        parse_pattern_document(doc, float_angles)
+    assert err.value.path == "/angles/i"
+
+
+@pytest.mark.parametrize("angle", [True, float("nan"), float("inf")])
+def test_float_angles_reject_booleans_and_non_finite(tmp_path, capsys, angle):
+    # true used to read as pi, NaN ended in exit 1 and Infinity in a traceback
+    doc = worked_doc()
+    doc["angles"]["i"] = angle
+    path = write(tmp_path, "p.json", doc)
+    assert schema_error_path(capsys, "--float-angles", "extract", path) == "/angles/i"
+
+
+def test_schema_rejects_boolean_depth(tmp_path, capsys):
+    # true read as depth 1, so this flow used to verify with exit 0
+    import pathlib
+
+    fixture = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "measured-v0.json"
+    doc = json.loads(fixture.read_text())
+    doc["flow"] = {"p": doc["flow"]["p"], "depth": {"a": True, "c": 1, "i": 1}}
+    path = write(tmp_path, "p.json", doc)
+    assert schema_error_path(capsys, "flow", "verify", path) == "/flow/depth/a"
+    doc["flow"]["depth"]["a"] = 1
+    code, out, _ = run_cli(capsys, "flow", "verify", write(tmp_path, "p.json", doc))
+    assert code == 0 and json.loads(out) == {"violations": []}
+
+
 def test_flow_find_cli(tmp_path, capsys):
     doc = worked_doc()
     del doc["flow"]
@@ -211,6 +245,21 @@ def test_verify_equal_rejects_out_of_range_qubit(tmp_path, capsys):
     assert code == 2 and out == ""
     error = json.loads(err)
     assert error["error"] == "schema" and error["path"] == "/gates/0/qubits"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_equal_rejects_bad_tolerance(tmp_path, capsys, tol):
+    # -1 used to exit 1 ("not equal"), nan to print "tol": NaN, which is
+    # not JSON, and inf to call any two maps equal
+    path = write(tmp_path, "p.json", worked_doc())
+    assert schema_error_path(capsys, "verify-equal", path, path, "--tol", tol) == "--tol"
+
+
+def test_verify_equal_rejects_non_integer_qubit_cap(tmp_path, capsys, monkeypatch):
+    # "could not check" used to exit 1, which reads as "not equal"
+    monkeypatch.setenv("PAULIFLOW_MAX_QUBITS", "abc")
+    path = write(tmp_path, "p.json", worked_doc())
+    assert schema_error_path(capsys, "verify-equal", path, path) == "PAULIFLOW_MAX_QUBITS"
 
 
 @pytest.mark.parametrize("gates, path", [

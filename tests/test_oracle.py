@@ -18,7 +18,6 @@ from pauliflow.oracle import (
     equal_up_to_phase,
     graph_state_matrix,
     pattern_semantics,
-    pauli_absorption_check,
     string_matrix,
     tableau_isometry,
 )
@@ -105,16 +104,6 @@ def test_equal_up_to_scalar_not_just_unit_phase():
     a = DenseMap(np.eye(2, dtype=complex), (0,), (0,))
     b = DenseMap(np.eye(2, dtype=complex) / math.sqrt(2), (0,), (0,))
     assert equal_up_to_phase(a, b)
-
-
-def test_pauli_absorption_signs():
-    for plane, a in (("X", 0), ("Y", 0), ("Z", 1), ("X", 1)):
-        p = MeasurementPattern.make(
-            ["u", "o"], [("u", "o")], [], ["o"], {"u": plane}, {"u": a})
-        assert pauli_absorption_check(p, "u", plane)
-    p = MeasurementPattern.make(["u", "o"], [("u", "o")], [], ["o"], {"u": "X"}, {"u": 0})
-    with pytest.raises(ValueError):
-        pauli_absorption_check(p, "u", "Z")
 
 
 def test_pattern_norm_bound_and_determinism():

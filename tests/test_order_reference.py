@@ -7,6 +7,7 @@ pipeline really builds.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,15 +22,15 @@ from pauliflow.flow import (
     switch_flow,
 )
 from pauliflow.graph import LabelledOpenGraph, MeasurementPattern
-from pauliflow.pddag import _linearize
-from tests.conftest import sized_circuit_pattern
+from pauliflow.pauli import Rotation, SignedPauliString, commutes, identity_string, multiply
+from pauliflow.pddag import IsometryTableau, build_pddag
+from tests.conftest import random_clifford_rows, sized_circuit_pattern
 from tests.reference_extract import extend_all_inputs
 from tests.reference_order import (
     closed_order,
     depth_pairs,
     emission_order,
     hasse,
-    linearize,
     pddag_partial_order,
     restrict,
     stabilizer_relinearized,
@@ -88,17 +89,51 @@ def test_random_dag_orders_match_reference(seed):
     assert grown.emission_order(everything) == emission_order(grown_ref, everything)
 
 
+def random_stabilized_pddag(rng):
+    """A random tableau with at least one free row, and 2-12 random nodes."""
+    n = rng.randrange(2, 6)
+    m = rng.randrange(0, n)
+    z_rows, x_rows, _ = random_clifford_rows(rng, n)
+    tab = IsometryTableau(tuple(range(m)), tuple(range(n)), dict(enumerate(z_rows[:m])),
+                          dict(enumerate(x_rows[:m])), tuple(z_rows[m:]))
+    nodes = []
+    for i in range(rng.randrange(2, 13)):
+        letters = {k: letter for k in range(n) if (letter := rng.choice("IXYZ")) != "I"}
+        string = SignedPauliString(letters, rng.choice((0, 2)))
+        nodes.append((f"n{i}", Rotation(string, Fraction(rng.randrange(1, 16), 8))))
+    return build_pddag(tab, nodes)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_linearize_matches_reference(seed):
+    """Stabilizer rewrites relinearise like the reference's first-fit order.
+
+    Each node is rewritten by a product of a random subset of free rows;
+    the rewrite must be refused exactly when the new string anticommutes
+    with the node or one of its ancestors.
+    """
     rng = random.Random(seed)
-    names, pairs = random_dag(rng, rng.randrange(1, 25), rng.choice((0.1, 0.3, 0.7)))
-    ids = list(names)
-    rng.shuffle(ids)  # the preferred positions need not be topological
-    pos = {v: i for i, v in enumerate(ids)}
-    succ = [0] * len(ids)
-    for a, b in pairs:
-        succ[pos[a]] |= 1 << pos[b]
-    assert _linearize(ids, succ) == linearize(ids, pairs)
+    legal = moved = 0
+    while legal < 100:
+        dag = random_stabilized_pddag(rng)
+        po = pddag_partial_order(dag)
+        rows = dag.tableau.free_rows
+        for nid in dag.node_ids:
+            string = identity_string()
+            for row in [r for r in rows if rng.random() < 0.5] or [rng.choice(rows)]:
+                string = multiply(string, row)
+            allowed = all(commutes(dag.nodes[a].string, string)
+                          for a in {nid} | {a for a, b in po if b == nid})
+            try:
+                after = dag.stabilizer_rewrite_by_string(nid, string)
+            except ValueError:
+                assert not allowed
+                continue
+            assert allowed
+            assert after.node_ids == stabilizer_relinearized(dag, nid, string)
+            legal += 1
+            moved += after.node_ids != dag.node_ids
+    assert moved >= 20
 
 
 @pytest.mark.parametrize("seed", range(20))

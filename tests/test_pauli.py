@@ -16,7 +16,6 @@ from pauliflow.pauli import (
     identity_string,
     multiply,
     parse_string,
-    product_rotation,
     reorder_push,
     single,
 )
@@ -213,23 +212,11 @@ def test_unknown_gate_rejected():
         gate_to_exponentials("H", ("a", "b"))
 
 
-def test_product_rotation_example():
-    rot = Rotation(from_letter_map({"1": "Y", "2": "Z"}), F(1, 3))
+def test_multiply_example():
+    # a rotation axis times a commuting stabilizer, as in a stabilizer rewrite
+    axis = from_letter_map({"1": "Y", "2": "Z"})
     stab = from_letter_map({"1": "Z", "2": "X"})
-    out = product_rotation(rot, stab)
-    assert out.string == -from_letter_map({"1": "X", "2": "Y"})
-    assert out.angle == F(1, 3)
-
-
-def test_product_rotation_identity_stab():
-    rot = Rotation(single("1", "Z"), F(1, 5))
-    assert product_rotation(rot, identity_string()) == rot
-
-
-def test_product_rotation_rejects_anticommuting():
-    rot = Rotation(single("1", "Z"), F(1, 5))
-    with pytest.raises(ValueError):
-        product_rotation(rot, single("1", "X"))
+    assert multiply(axis, stab) == -from_letter_map({"1": "X", "2": "Y"})
 
 
 def test_rotation_normalization_and_equivalence():

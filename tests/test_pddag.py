@@ -19,7 +19,6 @@ from pauliflow.pddag import (
     IsometryTableau,
     Pddag,
     build_pddag,
-    canonicalize_angles,
     clifford_circuit_from_rows,
     identity_tableau,
     push_clifford_nodes,
@@ -44,18 +43,6 @@ def test_tableau_rejects_bad_free_count():
     with pytest.raises(ValueError):
         IsometryTableau(("i",), ("o",), {"i": single("o", "Z")},
                         {"i": single("o", "X")}, (single("o", "Z"),))
-
-
-def test_tableau_free_actions():
-    tab = IsometryTableau(
-        (), ("x", "y"), {}, {},
-        (single("x", "Z"), single("y", "Z")),
-    )
-    swapped = tab.swap_free(0, 1)
-    assert swapped.free_rows == (single("y", "Z"), single("x", "Z"))
-    assert swapped.swap_free(0, 1).rows_equal(tab)
-    merged = tab.multiply_free_into_free(0, 1)
-    assert merged.free_rows[1] == from_letter_map({"x": "Z", "y": "Z"})
 
 
 def test_multiply_free_into_input_row():
@@ -352,19 +339,6 @@ def test_stabilizer_rewrite_blocked():
         dag.stabilizer_rewrite_by_string("b", single("x", "Z"))
 
 
-def test_canonicalize_angles():
-    dag = build_pddag(identity_tableau(range(2)), [
-        ("a", Rotation(single(0, "Z"), F(7, 5))),
-        ("b", Rotation(single(0, "X"), F(1, 2))),
-        ("c", Rotation(single(1, "Z"), F(9, 8))),
-        ("d", Rotation(single(0, "Y"), F(3, 4))),
-    ])
-    canon = canonicalize_angles(dag)
-    for rot in canon.nodes.values():
-        assert 0 < rot.angle < F(1, 2)
-    assert equal_up_to_phase(pddag_semantics(canon), pddag_semantics(dag), 1e-9)
-
-
 # -- a two-wire circuit reduced to its canonical dependency DAG ---------------------
 
 
@@ -501,7 +475,7 @@ def test_random_mutations_oracle_equal():
         dag = build_pddag(tab, nodes)
         want = pddag_semantics(dag)
         mutated = None
-        kind = rng.choice(("push", "pull_end", "stab", "merge", "canon"))
+        kind = rng.choice(("push", "pull_end", "stab", "merge"))
         try:
             if kind == "push":
                 cliffs = [i for i in dag.node_ids if dag.nodes[i].is_clifford()]
@@ -522,7 +496,7 @@ def test_random_mutations_oracle_equal():
                 if targets:
                     mutated = dag.stabilizer_rewrite_by_string(
                         rng.choice(targets), dag.tableau.free_rows[row])
-            elif kind == "merge":
+            else:
                 po = dag.partial_order()
                 pairs = [
                     (a, b) for a in dag.node_ids for b in dag.node_ids
@@ -531,8 +505,6 @@ def test_random_mutations_oracle_equal():
                 ]
                 if pairs:
                     mutated = dag.merge_nodes(*rng.choice(pairs))
-            else:
-                mutated = canonicalize_angles(dag)
         except ValueError:
             continue
         if mutated is None:
