@@ -137,11 +137,7 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
             string = extraction_string(pattern, flow, v).string
             nodes.append((v, Rotation(-string if g.labels[v] == "YZ" else string,
                                       pattern.angles[v])))
-    trailing = pattern.trailing
-    for i, tg in enumerate(trailing):
-        rots = trailing_rotations(tg)
-        nodes += [(trailing_node_id(len(trailing), i, j if len(rots) > 1 else None), rot)
-                  for j, rot in enumerate(rots) if rot.angle != 0]
+    nodes += trailing_nodes(pattern.trailing)
 
     # Tableau rows.
     z_rows: Dict[str, SignedPauliString] = {}
@@ -174,21 +170,19 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
     return build_pddag(tableau, nodes)
 
 
-def trailing_rotations(gate: TrailingGate) -> List[Rotation]:
-    """Trailing single-qubit gate as end-of-circuit rotations, temporal order."""
-    if gate.name not in GATE_ROTATIONS:
-        raise ValueError(f"unsupported trailing gate {gate.name!r}")
-    return GATE_ROTATIONS[gate.name](gate.qubit, gate.angle)
-
-
-TRAIL_PREFIX = "t:"
-
-
-def trailing_node_id(list_len: int, index: int, sub: Optional[int] = None) -> str:
-    """Stable id for a trailing gate: counted from the outermost gate, so
+def trailing_nodes(trailing: Sequence[TrailingGate]) -> List[Tuple[str, Rotation]]:
+    """The trailing gates' rotations as end-of-circuit nodes, earliest first,
+    skipping zero angles.  A node's id counts from the outermost gate, so
     rewrites that prepend new trailing gates keep existing ids unchanged."""
-    base = f"{TRAIL_PREFIX}{list_len - 1 - index}"
-    return base if sub is None else f"{base}.{sub}"
+    nodes = []
+    for i, tg in enumerate(trailing):
+        if tg.name not in GATE_ROTATIONS:
+            raise ValueError(f"unsupported trailing gate {tg.name!r}")
+        rots = GATE_ROTATIONS[tg.name](tg.qubit, tg.angle)
+        base = f"t:{len(trailing) - 1 - i}"
+        nodes += [(base if len(rots) == 1 else f"{base}.{j}", rot)
+                  for j, rot in enumerate(rots) if rot.angle != 0]
+    return nodes
 
 
 def extract_circuit(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = None,

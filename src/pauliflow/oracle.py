@@ -274,7 +274,8 @@ def equal_up_to_phase(a: DenseMap, b: DenseMap, tol: float = DEFAULT_TOL) -> boo
     pivot = mb[idx]
     if abs(pivot) <= tol:
         return bool(np.max(np.abs(ma)) <= tol)
-    scale = ma[idx] / pivot
-    if abs(scale) <= tol:
+    # ma == (ma[idx] / pivot) * mb, multiplied through by pivot: no division,
+    # and both products array x scalar, so equal maps leave exactly zero
+    if abs(ma[idx]) <= tol * abs(pivot):
         return False
-    return bool(np.max(np.abs(ma - scale * mb)) <= tol)
+    return bool(np.max(np.abs(ma * pivot - mb * ma[idx])) <= tol * abs(pivot))

@@ -270,11 +270,6 @@ def reorder_push(quarter: Rotation, b: SignedPauliString) -> SignedPauliString:
     return prod if t == Fraction(1, 2) else -prod
 
 
-def reorder_pull(quarter: Rotation, b: SignedPauliString) -> SignedPauliString:
-    """Inverse of reorder_push: ``b exp(i t/2 A) = exp(i t/2 A) b'``."""
-    return reorder_push(Rotation(quarter.string, -quarter.angle), b)
-
-
 HALF = Fraction(1, 2)
 
 

@@ -7,9 +7,11 @@ orient every anticommuting pair by list position, close transitively and
 take the Hasse diagram.  Any two linearizations of the same process give
 the same canonical DAG, which is what gets compared and serialized.
 
-The rewrites are simulated by pushing Clifford nodes, pulling rotations
-from the tableau and stabilizer rewrites; the paper's Fig. 2 example also
-reads a unitary circuit, pushes all its Clifford nodes and merges nodes.
+The rewrites are simulated by pushing Clifford nodes into the tableau,
+pulling rotations out of it (``pull_to`` a fresh node, ``pull_into`` an
+existing one; a pull of (A, t) is a push of its inverse (A, -t)) and
+stabilizer rewrites; the paper's Fig. 2 example also reads a unitary
+circuit, pushes all its Clifford nodes and merges nodes.
 
 Synthesis completes the isometry tableau to a unitary one (each free row
 is the Z image of a fresh |0> wire, its X partner solved over GF(2)) and
@@ -37,7 +39,6 @@ from .pauli import (
     commutes,
     identity_string,
     multiply,
-    reorder_pull,
     reorder_push,
     single,
 )
@@ -180,13 +181,14 @@ class IsometryTableau:
             prod = multiply(prod, self.free_rows[i])
         return idx if prod == string else None
 
-    def conjugated(self, mover: Rotation, pull: bool) -> "IsometryTableau":
-        step = reorder_pull if pull else reorder_push
+    def conjugated(self, mover: Rotation) -> "IsometryTableau":
+        """The tableau of U V, where this is V's and U the Clifford rotation
+        mover: every row b becomes U b U^dagger (``reorder_push``)."""
         return replace(
             self,
-            z_rows={u: step(mover, r) for u, r in self.z_rows.items()},
-            x_rows={u: step(mover, r) for u, r in self.x_rows.items()},
-            free_rows=tuple(step(mover, r) for r in self.free_rows),
+            z_rows={u: reorder_push(mover, r) for u, r in self.z_rows.items()},
+            x_rows={u: reorder_push(mover, r) for u, r in self.x_rows.items()},
+            free_rows=tuple(reorder_push(mover, r) for r in self.free_rows),
         )
 
 
@@ -264,13 +266,19 @@ class Pddag:
 
     # -- rewrites (pure) ----------------------------------------------------
 
+    def _position(self, nid: str) -> int:
+        if nid not in self.nodes:
+            raise ValueError(f"no node {nid!r}")
+        return self.node_ids.index(nid)
+
     def merge_nodes(self, j: str, k: str) -> "Pddag":
         """Fold node k into node j; strings must agree up to sign."""
-        if j in self.nodes and k in self.nodes:
-            pj, pk = self.node_ids.index(j), self.node_ids.index(k)
-            closed = self._order_masks[0]
-            if (closed[pj] >> pk) & 1 or (closed[pk] >> pj) & 1:
-                raise ValueError(f"nodes {j!r}, {k!r} are order-dependent")
+        if j == k:
+            raise ValueError(f"cannot merge node {j!r} into itself")
+        pj, pk = self._position(j), self._position(k)
+        closed = self._order_masks[0]
+        if (closed[pj] >> pk) & 1 or (closed[pk] >> pj) & 1:
+            raise ValueError(f"nodes {j!r}, {k!r} are order-dependent")
         a, b = self.nodes[j], self.nodes[k]
         angle = _merged_angle(a, b)
         if angle is None:
@@ -286,77 +294,62 @@ class Pddag:
 
     def push_clifford_front(self, nid: str) -> "Pddag":
         """Absorb a Clifford-angled node into the tableau, conjugating what it crosses."""
+        pos = self._position(nid)
         mover = self.nodes[nid]
         if not mover.is_clifford():
             raise ValueError(f"node {nid!r} has a non-Clifford angle")
-        nodes = self._transported(mover, self.node_ids.index(nid), pull=False)
+        tableau, nodes = self._crossed(mover, pos)
         del nodes[nid]
-        ids = tuple(i for i in self.node_ids if i != nid)
-        return Pddag(self.tableau.conjugated(mover, pull=False), ids, nodes)
+        return Pddag(tableau, self.node_ids[:pos] + self.node_ids[pos + 1:], nodes)
 
-    def pull_from_tableau(self, rotation: Rotation, destination,
-                          provenance: str = "stabilizer",
-                          node_id: Optional[str] = None) -> "Pddag":
-        """Materialize a rotation out of the Clifford block and transport it.
-
-        destination is "end" (append after every node), ("insert", pos)
-        (cross only the first pos nodes and sit there) or ("merge", id).
-        provenance "stabilizer" demands the string be in the free-row group;
-        "pattern" trusts the caller (rewrites justified at the pattern level).
-        """
+    def pull_to(self, rotation: Rotation, pos: int, node_id: str) -> "Pddag":
+        """Take a Clifford rotation out of the tableau as a fresh node after
+        the first pos nodes: the Pddag whose ``push_clifford_front(node_id)``
+        is this one."""
+        if node_id in self.nodes:
+            raise ValueError(f"node id {node_id!r} is taken")
+        if not 0 <= pos <= len(self.node_ids):
+            raise ValueError(f"position {pos} is outside 0..{len(self.node_ids)}")
         if rotation.angle == 0:
             return self
-        if provenance == "stabilizer":
-            if self.tableau.free_combo(rotation.string) is None and \
-               self.tableau.free_combo(-rotation.string) is None:
-                raise ValueError(f"{rotation.string} is not a verified stabilizer")
-        elif provenance != "pattern":
-            raise ValueError("provenance must be 'stabilizer' or 'pattern'")
-        tableau = self.tableau.conjugated(rotation, pull=True)
-        if destination == "end" or (isinstance(destination, tuple) and destination[0] == "insert"):
-            pos = len(self.node_ids) if destination == "end" else destination[1]
-            if node_id is None or node_id in self.nodes:
-                raise ValueError("insert destination needs a fresh node id")
-            nodes = self._transported(rotation, pos, pull=True)
-            nodes[node_id] = rotation
-            ids = self.node_ids[:pos] + (node_id,) + self.node_ids[pos:]
-            return Pddag(tableau, ids, nodes)
-        kind, target = destination
-        if kind != "merge":
-            raise ValueError(f"bad destination {destination!r}")
-        pos = self.node_ids.index(target)
-        if provenance == "stabilizer":
-            blockers = [
-                a for a in self.ancestors(target)
-                if not commutes(self.nodes[a].string, rotation.string)
-            ]
-            if blockers:
-                raise ValueError(f"anticommuting blockers {sorted(blockers)} before {target!r}")
-        nodes = self._transported(rotation, pos, pull=True)
-        dest_rot = nodes[target]
-        angle = _merged_angle(dest_rot, rotation)
+        tableau, nodes = self._crossed(Rotation(rotation.string, -rotation.angle), pos)
+        nodes[node_id] = rotation
+        return Pddag(tableau, self.node_ids[:pos] + (node_id,) + self.node_ids[pos:], nodes)
+
+    def pull_into(self, rotation: Rotation, target: str) -> "Pddag":
+        """Take a Clifford rotation out of the tableau and merge it into node
+        target; its string must equal the target's up to sign."""
+        pos = self._position(target)
+        if rotation.angle == 0:
+            return self
+        tableau, nodes = self._crossed(Rotation(rotation.string, -rotation.angle), pos)
+        dest = nodes[target]
+        angle = _merged_angle(dest, rotation)
         if angle is None:
             raise ValueError(
-                f"cannot merge {rotation.string} into node {target!r} carrying {dest_rot.string}"
-            )
-        nodes[target] = Rotation(dest_rot.string, angle)
+                f"cannot merge {rotation.string} into node {target!r} carrying {dest.string}")
+        nodes[target] = Rotation(dest.string, angle)
         return Pddag(tableau, self.node_ids, nodes)
 
-    def _transported(self, mover: Rotation, pos: int, pull: bool) -> Dict[str, Rotation]:
-        """The nodes, with the first pos conjugated as the mover crosses them."""
-        step = reorder_pull if pull else reorder_push
-        return {nid: Rotation(step(mover, self.nodes[nid].string), self.nodes[nid].angle)
-                if i < pos else self.nodes[nid] for i, nid in enumerate(self.node_ids)}
+    def _crossed(self, mover: Rotation, pos: int) -> Tuple[IsometryTableau, Dict[str, Rotation]]:
+        """The tableau and nodes once the Clifford rotation mover, sitting
+        after the first pos nodes, is pushed across them into the tableau.
+        The pulls pass the inverse (A, -t) of the rotation (A, t) they pull."""
+        nodes = dict(self.nodes)
+        for nid in self.node_ids[:pos]:
+            rot = nodes[nid]
+            nodes[nid] = Rotation(reorder_push(mover, rot.string), rot.angle)
+        return self.tableau.conjugated(mover), nodes
 
     def stabilizer_rewrite_by_string(self, nid: str, string: SignedPauliString) -> "Pddag":
         """Multiply a node's string by a stabilizer from the free-row group."""
+        i = self._position(nid)
         if self.tableau.free_combo(string) is None:
             raise ValueError(f"{string} is not in the free-row group")
         target = self.nodes[nid]
         if not commutes(target.string, string):
             raise ValueError("stabilizer anticommutes with the node string")
         ids = self.node_ids
-        i = ids.index(nid)
         ancestors = self._ancestor_mask(i)
         blockers = [ids[a] for a in f2.bits(ancestors)
                     if not commutes(self.nodes[ids[a]].string, string)]

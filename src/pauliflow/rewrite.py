@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from .extract import (
-    TRAIL_PREFIX,
-    extract_pddag,
-    extraction_string,
-    trailing_node_id,
-)
+from .extract import extract_pddag, extraction_string, trailing_nodes
 from .flow import (
     FocussedSet,
     PauliFlowData,
@@ -27,7 +22,7 @@ from .flow import (
     verify_flow,
 )
 from .graph import LabelledOpenGraph, MeasurementPattern, TrailingGate
-from .pauli import HALF, Rotation, single
+from .pauli import HALF, Rotation
 from .pddag import Pddag
 
 
@@ -52,13 +47,18 @@ def _require_focussed(pattern: MeasurementPattern, flow: PauliFlowData) -> None:
         raise ValueError("rewrites need a focussed flow")
 
 
-def _first_trailing_pos(dag: Pddag) -> int:
-    """Position of the first trailing node; rewrites insert new end-of-circuit
-    rotations there, below the previously accumulated trailing gates."""
-    for i, nid in enumerate(dag.node_ids):
-        if str(nid).startswith(TRAIL_PREFIX):
-            return i
-    return len(dag.node_ids)
+def _pull_new_trailing(dag: Pddag, pattern: MeasurementPattern,
+                       pattern2: MeasurementPattern) -> Pddag:
+    """Pull the nodes of the trailing gates pattern2 prepends to pattern's.
+
+    dag ends with pattern's trailing nodes; the new ones go just before them,
+    ahead of the previously accumulated trailing gates."""
+    new = trailing_nodes(pattern2.trailing)
+    old = len(trailing_nodes(pattern.trailing))
+    pos = len(dag.node_ids) - old
+    for i, (nid, rot) in enumerate(new[:len(new) - old]):
+        dag = dag.pull_to(rot, pos + i, nid)
+    return dag
 
 
 # -- Pauli relabelling ---------------------------------------------------------
@@ -153,16 +153,10 @@ def eliminate_z(pattern: MeasurementPattern, flow: PauliFlowData,
     if g.is_planar(u) and u in sim.nodes:
         sim = sim.push_clifford_front(u)
     if a:
-        pos = _first_trailing_pos(sim)
-        for i, n in enumerate(out_nbrs):
-            sim = sim.pull_from_tableau(
-                Rotation(single(n, "Z"), 1), ("insert", pos + i),
-                provenance="pattern", node_id=trailing_node_id(len(trailing), i),
-            )
+        sim = _pull_new_trailing(sim, pattern, pattern2)
         for n in flow.order.emission_order(g.measured):
             if n in nbrs and g.labels[n] == "XY" and n in sim.nodes:
-                pulled = Rotation(sim.nodes[n].string.unsigned(), 1)
-                sim = sim.pull_from_tableau(pulled, ("merge", n), provenance="pattern")
+                sim = sim.pull_into(Rotation(sim.nodes[n].string.unsigned(), 1), n)
     return RewriteReport(
         pattern2, flow2, fsets2,
         extract_pddag(pattern2, flow2, fsets2, extension_sets=ext2), sim,
@@ -171,32 +165,28 @@ def eliminate_z(pattern: MeasurementPattern, flow: PauliFlowData,
 
 # -- local complementation --------------------------------------------------------
 
-# (label -> (new label, angle update)) for the complemented vertex and its
-# neighbours, per direction of the graph-state identity being used.
+# label -> (new label, s, c) for the complemented vertex and its neighbours
+# under LC(+1): the new angle is s * angle + c.  LC(-1) undoes LC(+1), so
+# its entries are the inverse maps: (new label, _, _) -> (label, s * (angle - c)).
 _LC_CENTER = {
-    1: {
-        "XY": ("XZ", lambda a: a + HALF), "XZ": ("XY", lambda a: HALF - a),
-        "YZ": ("YZ", lambda a: a + HALF), "X": ("X", lambda a: a),
-        "Y": ("Z", lambda a: a + 1), "Z": ("Y", lambda a: a),
-    },
-    -1: {
-        "XY": ("XZ", lambda a: HALF - a), "XZ": ("XY", lambda a: a - HALF),
-        "YZ": ("YZ", lambda a: a - HALF), "X": ("X", lambda a: a),
-        "Y": ("Z", lambda a: a), "Z": ("Y", lambda a: a + 1),
-    },
+    "XY": ("XZ", 1, HALF), "XZ": ("XY", -1, HALF), "YZ": ("YZ", 1, HALF),
+    "X": ("X", 1, 0), "Y": ("Z", 1, 1), "Z": ("Y", 1, 0),
 }
 _LC_NEIGHBOUR = {
-    1: {
-        "XY": ("XY", lambda a: a + HALF), "XZ": ("YZ", lambda a: a),
-        "YZ": ("XZ", lambda a: -a), "X": ("Y", lambda a: a),
-        "Y": ("X", lambda a: a + 1), "Z": ("Z", lambda a: a),
-    },
-    -1: {
-        "XY": ("XY", lambda a: a - HALF), "XZ": ("YZ", lambda a: -a),
-        "YZ": ("XZ", lambda a: a), "X": ("Y", lambda a: a + 1),
-        "Y": ("X", lambda a: a), "Z": ("Z", lambda a: a),
-    },
+    "XY": ("XY", 1, HALF), "XZ": ("YZ", 1, 0), "YZ": ("XZ", -1, 0),
+    "X": ("Y", 1, 0), "Y": ("X", 1, 1), "Z": ("Z", 1, 0),
 }
+
+
+def _lc_measurement(table, direction: int, label: str, angle):
+    """(label, angle) of a measurement after LC(direction), by the table."""
+    if direction == 1:
+        new, s, c = table[label]
+        return new, s * angle + c
+    for old, (new, s, c) in table.items():
+        if new == label:
+            return old, s * (angle - c)
+
 
 # Quarter angle of the rotation merged into the node of the complemented
 # vertex itself, per direction and old label.  The values are forced by the
@@ -216,14 +206,12 @@ def _lc_updates(pattern: MeasurementPattern, flow: PauliFlowData,
     labels = dict(g.labels)
     angles = dict(pattern.angles)
     if u in g.measured:
-        new_label, upd = _LC_CENTER[direction][g.labels[u]]
-        labels[u] = new_label
-        angles[u] = upd(pattern.angles[u])
+        labels[u], angles[u] = _lc_measurement(
+            _LC_CENTER, direction, g.labels[u], pattern.angles[u])
     for w in nbrs:
         if w in g.measured:
-            new_label, upd = _LC_NEIGHBOUR[direction][g.labels[w]]
-            labels[w] = new_label
-            angles[w] = upd(pattern.angles[w])
+            labels[w], angles[w] = _lc_measurement(
+                _LC_NEIGHBOUR, direction, g.labels[w], pattern.angles[w])
     graph2 = LabelledOpenGraph(g.vertices, g.local_complement(u).edges,
                                g.inputs, g.outputs, labels)
     out_nbrs = sorted(nbrs & g.outputs)
@@ -266,21 +254,13 @@ def _lc_sim(dag: Pddag, pattern: MeasurementPattern, flow: PauliFlowData,
             u: str, direction: int) -> Pddag:
     g = pattern.graph
     nbrs = g.neighbours(u)
-    new = [Rotation(single(w, "Z"), direction * HALF) for w in sorted(nbrs & g.outputs)]
-    if u in g.outputs:
-        new.append(Rotation(single(u, "X"), -direction * HALF))
-    total = len(new) + len(pattern.trailing)
-    pos = _first_trailing_pos(dag)
-    for idx, rot in enumerate(new):
-        dag = dag.pull_from_tableau(rot, ("insert", pos + idx), provenance="pattern",
-                                    node_id=trailing_node_id(total, idx))
+    dag = _pull_new_trailing(dag, pattern, pattern2)
     for w in flow.order.emission_order(g.measured):
         is_target = (w == u and g.is_planar(u)) or (w in nbrs and g.labels.get(w) == "XY")
         if not is_target or w not in dag.nodes:
             continue
         phi = _LC_CENTER_PULL[direction][g.labels[u]] if w == u else direction * HALF
-        pulled = Rotation(extraction_string(pattern2, flow2, w).string, phi)
-        dag = dag.pull_from_tableau(pulled, ("merge", w), provenance="pattern")
+        dag = dag.pull_into(Rotation(extraction_string(pattern2, flow2, w).string, phi), w)
     return dag
 
 

@@ -16,7 +16,7 @@ against this module; nothing in ``src/`` imports it.
 
 from fractions import Fraction
 
-from pauliflow.extract import trailing_node_id, trailing_rotations
+from pauliflow.extract import trailing_nodes
 from pauliflow.flow import (
     NoPauliFlowError,
     PauliFlowData,
@@ -71,17 +71,9 @@ def extend_all_inputs(pattern, flow):
 
 def append_trailing(dag, trailing):
     """Append trailing gates as rotation nodes after everything else."""
-    ids = list(dag.node_ids)
-    nodes = dict(dag.nodes)
-    for i, tg in enumerate(trailing):
-        rots = trailing_rotations(tg)
-        for j, rot in enumerate(rots):
-            if rot.angle == 0:
-                continue
-            nid = trailing_node_id(len(trailing), i, j if len(rots) > 1 else None)
-            ids.append(nid)
-            nodes[nid] = rot
-    return Pddag(dag.tableau, tuple(ids), nodes)
+    new = trailing_nodes(trailing)
+    return Pddag(dag.tableau, dag.node_ids + tuple(nid for nid, _ in new),
+                 {**dag.nodes, **dict(new)})
 
 
 def extract_pddag(pattern, flow=None, fsets=None, extension_sets=None):

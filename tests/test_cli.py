@@ -1,6 +1,7 @@
 """CLI subcommands, JSON schemas and round-trips."""
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from pauliflow.cli import (
 from tests.conftest import worked_example, worked_example_flow, worked_example_fset
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def worked_doc(**kwargs):
@@ -108,9 +110,7 @@ def test_float_angles_reject_booleans_and_non_finite(tmp_path, capsys, angle):
 
 def test_schema_rejects_boolean_depth(tmp_path, capsys):
     # true read as depth 1, so this flow used to verify with exit 0
-    import pathlib
-
-    fixture = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "measured-v0.json"
+    fixture = FIXTURES / "measured-v0.json"
     doc = json.loads(fixture.read_text())
     doc["flow"] = {"p": doc["flow"]["p"], "depth": {"a": True, "c": 1, "i": 1}}
     path = write(tmp_path, "p.json", doc)
@@ -213,6 +213,15 @@ def test_verify_equal_same_file(tmp_path, capsys):
     path = write(tmp_path, "p.json", worked_doc())
     code, out, _ = run_cli(capsys, "verify-equal", path, path)
     assert code == 0
+
+
+@pytest.mark.parametrize("name", ["worked-example", "measured-v0", "no-flow"])
+def test_verify_equal_same_fixture_at_zero_tolerance(capsys, name):
+    # a map divided by its own pivot used to leave a residual of ~3e-17,
+    # so two identical files were "not equal" at --tol 0
+    path = str(FIXTURES / f"{name}.json")
+    code, out, _ = run_cli(capsys, "verify-equal", path, path, "--tol", "0")
+    assert code == 0 and json.loads(out)["equal"] is True
 
 
 def test_verify_equal_different(tmp_path, capsys):
@@ -455,11 +464,8 @@ def test_table_format(tmp_path, capsys):
 
 
 def test_shipped_fixtures_pipeline(tmp_path, capsys):
-    import pathlib
-
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
     for name in ("worked-example.json", "measured-v0.json"):
-        src = str(fixtures / name)
+        src = str(FIXTURES / name)
         code, out, _ = run_cli(capsys, "extract", src)
         assert code == 0
         dag_path = write(tmp_path, "dag.json", json.loads(out))
@@ -468,7 +474,7 @@ def test_shipped_fixtures_pipeline(tmp_path, capsys):
         circ_path = write(tmp_path, "circ.json", json.loads(out))
         code, out, _ = run_cli(capsys, "verify-equal", src, circ_path)
         assert code == 0, name
-    code, _, err = run_cli(capsys, "flow", "find", str(fixtures / "no-flow.json"))
+    code, _, err = run_cli(capsys, "flow", "find", str(FIXTURES / "no-flow.json"))
     assert code == 1 and json.loads(err)["error"] == "no-pauli-flow"
 
 

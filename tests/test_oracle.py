@@ -2,7 +2,9 @@
 
 import ast
 import inspect
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -98,6 +100,20 @@ def test_equal_up_to_phase_basics():
     assert not equal_up_to_phase(a, c, tol=1e-9)
     with pytest.raises(ValueError):
         equal_up_to_phase(a, DenseMap(np.eye(4, dtype=complex), (0,), (0, 1)))
+
+
+@pytest.mark.parametrize("name", ["worked-example", "measured-v0", "no-flow"])
+def test_equal_up_to_phase_exact_at_zero_tolerance(name):
+    """Identical and negated maps compare equal with no tolerance at all."""
+    from pauliflow.cli import parse_pattern_document
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+    pattern, _, _ = parse_pattern_document(json.loads(path.read_text()))
+    m = pattern_semantics(pattern)
+    negated = DenseMap(-m.matrix, m.input_order, m.output_order)
+    assert equal_up_to_phase(m, m, tol=0)
+    assert equal_up_to_phase(m, negated, tol=0)
+    assert equal_up_to_phase(negated, m, tol=0)
 
 
 def test_equal_up_to_scalar_not_just_unit_phase():

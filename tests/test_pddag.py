@@ -290,32 +290,87 @@ def test_push_non_clifford_rejected():
 def test_pull_stabilizer_to_end_oracle():
     dag = two_wire_fixture()
     stab = dag.tableau.free_rows[0]
-    pulled = dag.pull_from_tableau(Rotation(stab, F(1, 2)), "end",
-                                   provenance="stabilizer", node_id="s")
+    assert dag.tableau.free_combo(stab) is not None
+    pulled = dag.pull_to(Rotation(stab, F(1, 2)), len(dag.node_ids), "s")
     assert pulled.node_ids[-1] == "s"
+    # a stabilizer commutes with every row, so the tableau is unchanged
+    assert pulled.tableau.rows_equal(dag.tableau)
     assert equal_up_to_phase(pddag_semantics(pulled), pddag_semantics(dag), 1e-9)
 
 
-def test_pull_rejects_non_stabilizer():
+def test_pull_into_merge_oracle():
     dag = two_wire_fixture()
-    with pytest.raises(ValueError):
-        dag.pull_from_tableau(Rotation(single("x", "X"), F(1, 2)), "end",
-                              provenance="stabilizer", node_id="s")
-
-
-def test_pull_pattern_provenance_merge_oracle():
-    dag = two_wire_fixture()
-    pulled = dag.pull_from_tableau(
-        Rotation(from_letter_map({"x": "Z"}), 1), ("merge", "r"),
-        provenance="pattern")
+    pulled = dag.pull_into(Rotation(from_letter_map({"x": "Z"}), 1), "r")
     assert pulled.nodes["r"].angle == (F(1, 2) + 1) % 2
     assert equal_up_to_phase(pddag_semantics(pulled), pddag_semantics(dag), 1e-9)
+    with pytest.raises(ValueError, match="cannot merge"):
+        dag.pull_into(Rotation(from_letter_map({"x": "X"}), 1), "r")
 
 
 def test_pull_angle_zero_noop():
     dag = two_wire_fixture()
-    assert dag.pull_from_tableau(Rotation(single("x", "Z"), 0), "end",
-                                 provenance="pattern", node_id="s") is dag
+    assert dag.pull_to(Rotation(single("x", "Z"), 0), len(dag.node_ids), "s") is dag
+    assert dag.pull_into(Rotation(single("x", "Z"), 0), "r") is dag
+
+
+def random_pddag_with_free_rows(rng):
+    """A Pddag over the rows of a random Clifford: some inputs, at least one
+    free row, and up to five signed nodes at random angles."""
+    n = rng.randrange(2, 5)
+    z_rows, x_rows, _ = random_clifford_rows(rng, n)
+    m = rng.randrange(0, n)
+    tab = IsometryTableau(tuple(range(m)), tuple(range(n)),
+                          dict(enumerate(z_rows[:m])), dict(enumerate(x_rows[:m])),
+                          tuple(z_rows[m:]))
+    return build_pddag(tab, [(f"n{i}", Rotation(random_string(rng, n), F(rng.randrange(16), 8)))
+                             for i in range(rng.randrange(0, 6))])
+
+
+def random_string(rng, n):
+    letters = {k: rng.choice("IXYZ") for k in range(n)}
+    return SignedPauliString({k: l for k, l in letters.items() if l != "I"},
+                             rng.choice((0, 2)))
+
+
+def test_push_undoes_pull_exactly():
+    """A pull is the push of the inverse rotation: pushing a freshly pulled
+    node back gives the same ids, nodes and rows, for every position."""
+    rng = random.Random(1801)
+    moved_rows = crossed_nodes = 0
+    for _ in range(500):
+        dag = random_pddag_with_free_rows(rng)
+        for pos in range(len(dag.node_ids) + 1):
+            for angle in (F(1, 2), F(1), F(3, 2)):
+                r = Rotation(random_string(rng, len(dag.tableau.outputs)), angle)
+                pulled = dag.pull_to(r, pos, "new")
+                back = pulled.push_clifford_front("new")
+                assert back.node_ids == dag.node_ids
+                assert back.nodes == dag.nodes
+                assert back.tableau.rows_equal(dag.tableau)
+                moved_rows += not pulled.tableau.rows_equal(dag.tableau)
+                crossed_nodes += any(pulled.nodes[i] != dag.nodes[i] for i in dag.node_ids)
+    # the round trips are not vacuous: pulls moved rows and crossed nodes
+    assert moved_rows > 1000 and crossed_nodes > 1000, (moved_rows, crossed_nodes)
+
+
+def test_moves_reject_missing_or_repeated_ids():
+    dag = two_wire_fixture()
+    with pytest.raises(ValueError, match="'p'"):
+        dag.merge_nodes("p", "p")
+    with pytest.raises(ValueError, match="'zz'"):
+        dag.merge_nodes("p", "zz")
+    with pytest.raises(ValueError, match="'zz'"):
+        dag.merge_nodes("zz", "p")
+    with pytest.raises(ValueError, match="'zz'"):
+        dag.push_clifford_front("zz")
+    with pytest.raises(ValueError, match="'zz'"):
+        dag.pull_into(Rotation(single("x", "Z"), 1), "zz")
+    with pytest.raises(ValueError, match="'q'"):
+        dag.pull_to(Rotation(single("x", "Z"), 1), 0, "q")
+    with pytest.raises(ValueError, match="position"):
+        dag.pull_to(Rotation(single("x", "Z"), 1), len(dag.node_ids) + 1, "s")
+    with pytest.raises(ValueError, match="'zz'"):
+        dag.stabilizer_rewrite_by_string("zz", dag.tableau.free_rows[0])
 
 
 def test_stabilizer_rewrite_oracle():
@@ -475,16 +530,17 @@ def test_random_mutations_oracle_equal():
         dag = build_pddag(tab, nodes)
         want = pddag_semantics(dag)
         mutated = None
-        kind = rng.choice(("push", "pull_end", "stab", "merge"))
+        kind = rng.choice(("push", "pull", "stab", "merge"))
         try:
             if kind == "push":
                 cliffs = [i for i in dag.node_ids if dag.nodes[i].is_clifford()]
                 if cliffs:
                     mutated = dag.push_clifford_front(rng.choice(cliffs))
-            elif kind == "pull_end" and free:
-                mutated = dag.pull_from_tableau(
-                    Rotation(rng.choice(free), F(rng.randrange(1, 4), 2)),
-                    "end", provenance="stabilizer", node_id="pulled")
+            elif kind == "pull" and free:
+                stab = rng.choice(free)
+                assert tab.free_combo(stab) is not None
+                mutated = dag.pull_to(Rotation(stab, F(rng.randrange(1, 4), 2)),
+                                      rng.randrange(len(dag.node_ids) + 1), "pulled")
             elif kind == "stab" and free:
                 row = rng.randrange(len(free))
                 targets = [

@@ -277,9 +277,7 @@ def test_local_complement_d_worked_example(a_d):
 
     # step-by-step simulation states, checked one move at a time
     base = extract_pddag(pattern, flow, fsets)
-    step1 = base.pull_from_tableau(
-        Rotation(single("o2", "Z"), F(1, 2)), "end", provenance="pattern",
-        node_id="t:0")
+    step1 = base.pull_to(Rotation(single("o2", "Z"), F(1, 2)), len(base.node_ids), "t:0")
     assert step1.nodes["i"].string == from_letter_map({"o2": "Y"})
     assert step1.nodes["a"].string == from_letter_map({"o1": "Z", "o2": "X"}, sgn(a_d + 1))
     assert step1.nodes["b"].string == from_letter_map({"o1": "Y", "o2": "Z"}, sgn(a_d + 1))
@@ -289,9 +287,7 @@ def test_local_complement_d_worked_example(a_d):
     assert step1.tableau.z_rows["i"] == from_letter_map({"o2": "Y"})
     assert step1.tableau.free_rows[0] == from_letter_map({"o1": "Z", "o2": "Y"})
 
-    step2 = step1.pull_from_tableau(
-        Rotation(from_letter_map({"o1": "X"}), F(1, 2)), ("merge", "c"),
-        provenance="pattern")
+    step2 = step1.pull_into(Rotation(from_letter_map({"o1": "X"}), F(1, 2)), "c")
     assert step2.nodes["a"].string == from_letter_map({"o1": "Y", "o2": "X"}, sgn(a_d))
     assert step2.nodes["b"].string == from_letter_map({"o1": "Z", "o2": "Z"}, sgn(a_d + 1))
     assert step2.nodes["c"].angle == (pattern.angles["c"] + F(1, 2)) % 2
@@ -350,12 +346,31 @@ def test_local_complement_rejects_input(worked_pattern, worked_flow):
                                  [worked_example_fset()], "i")
 
 
+def test_lc_minus_one_is_the_inverse_of_plus_one():
+    """LC(-1) derived from the LC(+1) tables gives the values it was once
+    tabulated with, and undoes LC(+1)."""
+    from pauliflow.rewrite import _LC_CENTER, _LC_NEIGHBOUR, _lc_measurement
+
+    angle = {"XY": F(1, 5), "XZ": F(1, 5), "YZ": F(1, 5), "X": F(1), "Y": F(1), "Z": F(1)}
+    centre = {"XY": ("XZ", F(3, 10)), "XZ": ("XY", F(17, 10)), "YZ": ("YZ", F(17, 10)),
+              "X": ("X", F(1)), "Y": ("Z", F(1)), "Z": ("Y", F(0))}
+    neighbour = {"XY": ("XY", F(17, 10)), "XZ": ("YZ", F(9, 5)), "YZ": ("XZ", F(1, 5)),
+                 "X": ("Y", F(0)), "Y": ("X", F(1)), "Z": ("Z", F(1))}
+    for table, want in ((_LC_CENTER, centre), (_LC_NEIGHBOUR, neighbour)):
+        for label, a in angle.items():
+            new_label, new_angle = _lc_measurement(table, -1, label, a)
+            assert (new_label, new_angle % 2) == want[label], label
+            there = _lc_measurement(table, 1, label, a)
+            back = _lc_measurement(table, -1, *there)
+            assert (back[0], back[1] % 2) == (label, a % 2), label
+
+
 def test_lc_label_tables_exhaustive_oracle():
     """Every (centre label, neighbour label, direction) case of the local
     complementation update tables preserves dense semantics, with the
     accompanying trailing gates on output neighbours."""
     from pauliflow.graph import LabelledOpenGraph
-    from pauliflow.rewrite import _LC_CENTER, _LC_NEIGHBOUR
+    from pauliflow.rewrite import _LC_CENTER, _LC_NEIGHBOUR, _lc_measurement
 
     planar_angle = {"XY": F(1, 5), "XZ": F(1, 3), "YZ": F(2, 7)}
     checked = 0
@@ -368,10 +383,10 @@ def test_lc_label_tables_exhaustive_oracle():
                     ["u", "w", "o"], [("u", "w"), ("u", "o")], [], ["o"],
                     {"u": lu, "w": lw}, {"u": au, "w": aw})
                 g = pattern.graph
-                new_label_u, upd_u = _LC_CENTER[direction][lu]
-                new_label_w, upd_w = _LC_NEIGHBOUR[direction][lw]
+                new_label_u, new_au = _lc_measurement(_LC_CENTER, direction, lu, au)
+                new_label_w, new_aw = _lc_measurement(_LC_NEIGHBOUR, direction, lw, aw)
                 labels = {"u": new_label_u, "w": new_label_w}
-                angles = {"u": upd_u(au) % 2, "w": upd_w(aw) % 2}
+                angles = {"u": new_au % 2, "w": new_aw % 2}
                 graph2 = LabelledOpenGraph(
                     g.vertices, g.local_complement("u").edges, g.inputs,
                     g.outputs, labels)
@@ -387,7 +402,7 @@ def test_lc_label_tables_exhaustive_oracle():
 def test_lc_output_centre_exhaustive_oracle():
     """Local complementation about an output vertex: the RX trailing gate."""
     from pauliflow.graph import LabelledOpenGraph
-    from pauliflow.rewrite import _LC_NEIGHBOUR
+    from pauliflow.rewrite import _LC_NEIGHBOUR, _lc_measurement
 
     planar_angle = {"XY": F(1, 5), "XZ": F(1, 3), "YZ": F(2, 7)}
     for lw in ("XY", "XZ", "YZ", "X", "Y", "Z"):
@@ -396,11 +411,11 @@ def test_lc_output_centre_exhaustive_oracle():
             pattern = MeasurementPattern.make(
                 ["u", "w"], [("u", "w")], [], ["u"], {"w": lw}, {"w": aw})
             g = pattern.graph
-            new_label_w, upd_w = _LC_NEIGHBOUR[direction][lw]
+            new_label_w, new_aw = _lc_measurement(_LC_NEIGHBOUR, direction, lw, aw)
             graph2 = LabelledOpenGraph(
                 g.vertices, g.edges, g.inputs, g.outputs, {"w": new_label_w})
             pattern2 = MeasurementPattern(
-                graph2, {"w": upd_w(aw) % 2},
+                graph2, {"w": new_aw % 2},
                 (TrailingGate("u", "RX", direction * HALF),))
             assert equal_up_to_phase(
                 pattern_semantics(pattern), pattern_semantics(pattern2), 1e-9
