@@ -3,7 +3,8 @@
 Everything here is the ground truth the rest of the library is tested
 against, so it deliberately shares no machinery with the fast paths: maps
 are complex matrices built gate by gate / projector by projector, and all
-comparisons are up to a global scalar.
+comparisons are up to a global scalar.  A pattern's vertices are prepared
+lazily and measured as soon as their CZs are in (see ``pattern_semantics``).
 """
 
 from __future__ import annotations
@@ -123,42 +124,59 @@ def _apply_cz(mat: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 
 def pattern_semantics(pattern: MeasurementPattern, cap: Optional[int] = None) -> DenseMap:
-    """Dense linear map of the intended branch, trailing gates included."""
+    """Dense linear map of the intended branch, trailing gates included.
+
+    The inputs start live, as the identity on sorted inputs.  While a
+    measured vertex is left, the one bringing in the fewest new qubits (ties
+    by name) is measured: it and its neighbours are brought in (|+> as the
+    last axis), its CZs not yet applied are applied, and it is contracted
+    with its bra.  Last the outputs come in, the CZs left among them are
+    applied, the axes are put in sorted output order and the trailing gates
+    applied.  Preparations, CZs and measurements on different vertices
+    commute, so this is E_G N followed by the measurements; the order, read
+    from the edges alone, only bounds the live width.  Memory is
+    2^(live + |I|) entries, but the cap still counts all vertices.
+    """
     g = pattern.graph
     cap = qubit_cap() if cap is None else cap
     if len(g.vertices) > cap:
         raise QubitCapExceeded(f"{len(g.vertices)} qubits exceeds cap {cap}")
-    mat = graph_state_matrix(pattern).matrix
-    live = sorted(g.vertices)
-    for v in sorted(g.measured):
+    pending = {v: set() for v in g.vertices}  # CZs not yet applied
+    for a, b in g.edges:
+        pending[a].add(b)
+        pending[b].add(a)
+    live = sorted(g.inputs)
+    mat = np.eye(2 ** len(live), dtype=complex)
+
+    def entangle(verts):
+        nonlocal mat
+        for u in sorted(set(verts).union(*(pending[v] for v in verts)) - set(live)):
+            mat = np.kron(mat, _PLUS[:, None])
+            live.append(u)
+        for v in verts:
+            for u in sorted(pending.pop(v)):
+                pending[u].discard(v)
+                mat = _apply_cz(mat, live.index(v), live.index(u), len(live))
+
+    todo = set(g.measured)
+    while todo:
+        known = set(live)
+        v = min(todo, key=lambda u: (len(({u} | pending[u]) - known), u))
+        todo.remove(v)
+        entangle([v])
         bra = measurement_bra(g.labels[v], pattern.angles[v])
-        axis = live.index(v)
-        shaped = mat.reshape(2 ** axis, 2, -1)
-        mat = (bra[0] * shaped[:, 0, :] + bra[1] * shaped[:, 1, :]).reshape(
-            2 ** (len(live) - 1), -1
-        )
+        shaped = mat.reshape(2 ** live.index(v), 2, -1)
         live.remove(v)
-    outputs = tuple(live)  # sorted order inherited from the vertices
+        mat = (bra[0] * shaped[:, 0, :] + bra[1] * shaped[:, 1, :]).reshape(2 ** len(live), -1)
+    outputs = sorted(g.outputs)
+    entangle(outputs)
+    n = len(live)
+    mat = mat.reshape([2] * n + [-1]).transpose([live.index(o) for o in outputs] + [n])
+    mat = mat.reshape(2 ** n, -1)
     for tg in pattern.trailing:
         gate2 = _single_qubit_gate(tg.name, tg.angle)
-        mat = _apply_on_wire(mat, gate2, live.index(tg.qubit), len(live))
-    return DenseMap(mat, tuple(sorted(g.inputs)), outputs)
-
-
-def graph_state_matrix(pattern: MeasurementPattern) -> DenseMap:
-    """E_G N applied to nothing else: the entangled resource as a map
-    (|+> on prepared vertices, identity wires on inputs)."""
-    g = pattern.graph
-    verts = sorted(g.vertices)
-    mat = np.array([[1]], dtype=complex)
-    for v in verts:
-        if v in g.inputs:
-            mat = np.kron(mat, np.eye(2, dtype=complex))
-        else:
-            mat = np.kron(mat, _PLUS[:, None])
-    for a, b in sorted(g.edges):
-        mat = _apply_cz(mat, verts.index(a), verts.index(b), len(verts))
-    return DenseMap(mat, tuple(sorted(g.inputs)), tuple(verts))
+        mat = _apply_on_wire(mat, gate2, outputs.index(tg.qubit), n)
+    return DenseMap(mat, tuple(sorted(g.inputs)), tuple(outputs))
 
 
 # -- circuit and pddag semantics ----------------------------------------------
@@ -265,17 +283,19 @@ def equal_up_to_phase(a: DenseMap, b: DenseMap, tol: float = DEFAULT_TOL) -> boo
     """True iff the matrices agree up to one global (complex) scalar.
 
     Normalization constants are ignored throughout the library, so the
-    scalar is not constrained to unit modulus.
+    scalar is not constrained to unit modulus.  Each map is first scaled by
+    its own largest entry, so ``tol`` is relative and the answer does not
+    depend on the maps' scale; an identically zero map equals only another.
     """
     ma, mb = np.asarray(a.matrix), np.asarray(b.matrix)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
+    scale_a, scale_b = np.max(np.abs(ma)), np.max(np.abs(mb))
+    if scale_a == 0 or scale_b == 0:
+        return bool(scale_a == scale_b)
+    ma, mb = ma / scale_a, mb / scale_b
     idx = np.unravel_index(np.argmax(np.abs(mb)), mb.shape)
-    pivot = mb[idx]
-    if abs(pivot) <= tol:
-        return bool(np.max(np.abs(ma)) <= tol)
-    # ma == (ma[idx] / pivot) * mb, multiplied through by pivot: no division,
-    # and both products array x scalar, so equal maps leave exactly zero
-    if abs(ma[idx]) <= tol * abs(pivot):
-        return False
-    return bool(np.max(np.abs(ma * pivot - mb * ma[idx])) <= tol * abs(pivot))
+    # ma == (ma[idx] / mb[idx]) * mb, multiplied through by mb[idx]: no
+    # division, and both products array x scalar, so equal maps leave
+    # exactly zero
+    return bool(np.max(np.abs(ma * mb[idx] - mb * ma[idx])) <= tol)

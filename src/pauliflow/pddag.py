@@ -248,12 +248,6 @@ class Pddag:
     def _ancestor_mask(self, i: int) -> int:
         return sum(1 << k for k, m in enumerate(self._order_masks[0]) if (m >> i) & 1)
 
-    def ancestors(self, nid: str) -> FrozenSet[str]:
-        if nid not in self.nodes:
-            return frozenset()
-        i = self.node_ids.index(nid)
-        return frozenset(self.node_ids[k] for k in f2.bits(self._ancestor_mask(i)))
-
     def structurally_equal(self, other: "Pddag") -> bool:
         """Same tableau rows, same nodes per id, same canonical DAG."""
         if not self.tableau.rows_equal(other.tableau):

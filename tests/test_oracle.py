@@ -13,20 +13,29 @@ import pytest
 
 from pauliflow import oracle
 from pauliflow.extract import extract_pddag
-from pauliflow.graph import MeasurementPattern, TrailingGate
+from pauliflow.flow import focus_flow, focussed_set_generators
+from pauliflow.graph import ALL_LABELS, MeasurementPattern, TrailingGate
 from pauliflow.oracle import (
     DenseMap,
     circuit_semantics,
     equal_up_to_phase,
-    graph_state_matrix,
     pattern_semantics,
+    pddag_semantics,
     string_matrix,
     tableau_isometry,
 )
 from pauliflow.pauli import from_letter_map, gate_to_exponentials
-from pauliflow.pddag import Circuit, Gate, _complete_tableau
+from pauliflow.pddag import Circuit, Gate, _complete_tableau, synthesize
+from pauliflow.rewrite import local_complement_pattern, pivot_pattern
 from tests import reference_synth
-from tests.conftest import random_circuit_pattern, random_flowful_pattern, with_prepared_wires
+from tests.conftest import (
+    random_angle,
+    random_circuit_pattern,
+    random_flowful_pattern,
+    sized_circuit_pattern,
+    with_prepared_wires,
+)
+from tests.reference_oracle import eager_pattern_semantics, graph_state_matrix
 
 F = Fraction
 
@@ -116,6 +125,22 @@ def test_equal_up_to_phase_exact_at_zero_tolerance(name):
     assert equal_up_to_phase(negated, m, tol=0)
 
 
+def test_equal_up_to_phase_does_not_depend_on_scale():
+    m = np.array([[1, 2], [3, 4j]], dtype=complex)
+    tiny = DenseMap(1e-12 * m, (0,), (0,))
+    assert equal_up_to_phase(DenseMap(m, (0,), (0,)), tiny)
+    assert not equal_up_to_phase(tiny, DenseMap(1e-12 * np.eye(2, dtype=complex), (0,), (0,)))
+    assert not equal_up_to_phase(DenseMap(1e-12 * np.eye(2, dtype=complex), (0,), (0,)), tiny)
+
+
+def test_equal_up_to_phase_zero_equals_only_zero():
+    zero = DenseMap(np.zeros((2, 2), dtype=complex), (0,), (0,))
+    tiny = DenseMap(1e-15 * np.eye(2, dtype=complex), (0,), (0,))
+    assert equal_up_to_phase(zero, zero, tol=0)
+    assert not equal_up_to_phase(zero, tiny)
+    assert not equal_up_to_phase(tiny, zero)
+
+
 def test_equal_up_to_scalar_not_just_unit_phase():
     a = DenseMap(np.eye(2, dtype=complex), (0,), (0,))
     b = DenseMap(np.eye(2, dtype=complex) / math.sqrt(2), (0,), (0,))
@@ -130,6 +155,71 @@ def test_pattern_norm_bound_and_determinism():
         m2 = pattern_semantics(pattern).matrix
         assert np.array_equal(m1, m2)
         assert np.linalg.norm(m1, 2) <= 1 + 1e-9
+
+
+_TRAILING = (("Z",), ("X",), ("S",), ("Sdg",), ("H",), ("RZ", F(1, 4)), ("RX", F(3, 8)))
+
+
+def _random_open_pattern(rng):
+    """A pattern on any open graph, flow or not: inputs and outputs are
+    independent subsets, so some vertices are both, some inputs are measured
+    and some patterns have no outputs; sparse edges leave some vertices
+    isolated; outputs carry random trailing gates."""
+    verts = [f"v{i}" for i in range(rng.randrange(1, 8))]
+    edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:] if rng.random() < 0.35]
+    inputs = [v for v in verts if rng.random() < 0.3]
+    outputs = [v for v in verts if rng.random() < 0.35]
+    labels = {v: rng.choice(ALL_LABELS) for v in verts if v not in outputs}
+    angles = {v: random_angle(rng, pauli=len(label) == 1) for v, label in labels.items()}
+    trailing = [TrailingGate(rng.choice(outputs), *rng.choice(_TRAILING))
+                for _ in range(rng.randrange(3) if outputs else 0)]
+    return MeasurementPattern.make(verts, edges, inputs, outputs, labels, angles, trailing)
+
+
+def _rewritten_pattern(rng):
+    """A flowful pattern after a local complementation or a pivot, which
+    leave trailing gates on output neighbours."""
+    while True:
+        pattern, flow = random_flowful_pattern(rng, max_vertices=7)
+        g = pattern.graph
+        flow, fsets = focus_flow(g, flow), focussed_set_generators(g)
+        pivots = [e for e in sorted(g.edges) if not set(e) & g.inputs]
+        if rng.random() < 0.5:
+            u, direction = rng.choice(sorted(g.prepared)), rng.choice((1, -1))
+            return local_complement_pattern(pattern, flow, fsets, u, direction).pattern_after
+        if pivots:
+            return pivot_pattern(pattern, flow, fsets, *rng.choice(pivots)).pattern_after
+
+
+def test_lazy_pattern_semantics_matches_eager_reference():
+    rng = random.Random(33)
+    patterns = [_random_open_pattern(rng) for _ in range(360)]
+    patterns += [_rewritten_pattern(rng) for _ in range(60)]
+    for wires in (1, 2, 3):
+        pattern = random_circuit_pattern(rng, wires, 5)
+        patterns += [pattern, with_prepared_wires(pattern, 1)]
+    g_kinds = [p.graph for p in patterns]
+    assert any(g.inputs & g.outputs for g in g_kinds)
+    assert any(g.inputs - g.outputs for g in g_kinds)
+    assert any(not g.outputs for g in g_kinds)
+    assert any(any(not any(v in e for e in g.edges) for v in g.vertices) for g in g_kinds)
+    assert sum(bool(p.trailing) for p in patterns[360:420]) >= 20
+    for pattern in patterns:
+        lazy, eager = pattern_semantics(pattern), eager_pattern_semantics(pattern)
+        assert (lazy.input_order, lazy.output_order) == (eager.input_order, eager.output_order)
+        assert np.max(np.abs(lazy.matrix - eager.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [60, 80])
+def test_dense_round_trip_at_benchmark_size(n):
+    """Pattern, Pddag and circuit agree on a benchmark-shaped pattern; its
+    entries are tiny (2^(-1/2) per measurement), which the scale-free
+    comparison must not mistake for zero."""
+    pattern = sized_circuit_pattern(n, n // 10, seed=n)
+    dag = extract_pddag(pattern)
+    want = pattern_semantics(pattern, cap=n)
+    assert equal_up_to_phase(want, pddag_semantics(dag, cap=n))
+    assert equal_up_to_phase(want, circuit_semantics(synthesize(dag, lower_exp=True), cap=n))
 
 
 def test_qubit_cap(monkeypatch):

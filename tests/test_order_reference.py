@@ -224,8 +224,6 @@ def test_pipeline_pddag_orders_match_reference(n):
     po = pddag_partial_order(dag)
     assert dag.partial_order() == po
     assert dag.hasse() == hasse(dag.node_ids, po)
-    for nid in dag.node_ids[::5]:
-        assert dag.ancestors(nid) == frozenset(a for a, b in po if b == nid)
 
     dag = extract_pddag(with_prepared_wire(sized_circuit_pattern(n, n // 10, seed=n)))
     (stab,) = dag.tableau.free_rows

@@ -543,11 +543,12 @@ def test_random_mutations_oracle_equal():
                                       rng.randrange(len(dag.node_ids) + 1), "pulled")
             elif kind == "stab" and free:
                 row = rng.randrange(len(free))
+                po = dag.partial_order()
                 targets = [
                     i for i in dag.node_ids
                     if commutes(dag.nodes[i].string, tab.free_rows[row])
                     and all(commutes(dag.nodes[a].string, tab.free_rows[row])
-                            for a in dag.ancestors(i))
+                            for a, b in po if b == i)
                 ]
                 if targets:
                     mutated = dag.stabilizer_rewrite_by_string(
