@@ -1,15 +1,23 @@
 """Pauli flow: verification, maximally delayed identification and focussing.
 
-The identification algorithm works backwards from the outputs, solving a
-GF(2) witness system per candidate vertex and depth round.  The systems
-are built on a ``graph.BitView``: the unknowns are the vertex bits of the
-correction set, each row is an adjacency mask cut to them with its
-right-hand side one bit higher, and ``f2.solve`` returns the correction
-set's mask directly.  Every flow order is a ``FlowOrder``: a strict
-partial order held as closed successor bit masks over a vertex index.
-Identification builds it from a depth map (depth counts from the outputs,
-so ``u`` before ``v`` iff ``d(u) > d(v)``), flow switching extends it by
-pairs.
+The identification algorithm works backwards from the outputs, one depth
+round at a time.  Each candidate vertex u and plane poses a GF(2) witness
+system on a ``graph.BitView`` (the unknowns are the vertex bits of the
+correction set, each row an adjacency mask cut to them), and the systems
+of one round share one matrix M up to a rank-1 edit: u's column is dropped
+when u is X or Y, u's row is added when u is Z.  So a round eliminates M
+once, with identity bits recording the row operations, and a right-hand
+side reads off a solution of M or a left-null row it fails.  Dropping
+column u trades u for the lowest other column of its echelon row; adding
+row u flips its parity with the null vector of the lowest bit it keeps
+after reduction.  Either answer is supported on the edited system's greedy
+column basis, so it is the unique solution ``f2.solve`` of that system
+returns, and the correction sets stay the same bit for bit.
+
+Every flow order is a ``FlowOrder``: a strict partial order held as closed
+successor bit masks over a vertex index.  Identification builds it from a
+depth map (depth counts from the outputs, so ``u`` before ``v`` iff
+``d(u) > d(v)``), flow switching extends it by pairs.
 
 Focussing takes one pass.  The focus conditions FOC1-FOC3 are linear over
 GF(2), and a focussed correction set p(w) fails them only at w, so the
@@ -275,64 +283,96 @@ def verify_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> List[Tuple[str
 # -- identification (maximally delayed) -----------------------------------
 
 
-def _solve_witness(bv: BitView, noninput: int, u: int, a_mask: int, plane: str) -> Optional[int]:
-    """Solve the witness system for vertex u at a depth round; return K mask.
+# label -> the planes whose witness systems identification tries, in order;
+# an input tries only XY
+_PLANES = {"XY": ("XY",), "XZ": ("XZ",), "YZ": ("YZ",), "X": ("XY", "XZ"),
+           "Y": ("XY", "YZ"), "Z": ("XZ", "YZ")}
 
-    The unknowns are the vertex bits of K, so each row is an adjacency mask
-    cut to them; the right-hand side b rides at the bit above every vertex."""
-    ubit = 1 << u
+
+def _round_solver(bv: BitView, noninput: int, a_mask: int):
+    """Eliminate the matrix M shared by the witness systems of one depth
+    round; return solve(u, plane) -> K mask or None (see the module docstring).
+
+    M has columns C = (A | X | Y) minus the inputs, for the solved set A, a
+    row ``adj[w] & C`` per w outside A, Y and Z, and a row ``(adj[w] ^ w) & C``
+    per Y vertex w outside A.  Row w carries its identity bit n + w."""
     lab, adj, n = bv.label, bv.adj, len(bv.verts)
-    lyu = lab["Y"] & ~ubit
-    k_univ = (a_mask | lab["X"] | lyu) & noninput & ~ubit
-    p_rows = ((1 << n) - 1) & ~(a_mask | lyu | lab["Z"] & ~ubit)
-    b = ubit if plane == "XY" else adj[u] ^ ubit if plane == "XZ" else adj[u]
-    rows = [adj[w] & k_univ | ((b >> w) & 1) << n for w in f2.bits(p_rows)]
-    rows += [(adj[w] ^ (1 << w)) & k_univ | ((b >> w) & 1) << n for w in f2.bits(lyu & ~a_mask)]
-    return f2.solve(rows, k_univ, 1 << n)
+    cols = (a_mask | lab["X"] | lab["Y"]) & noninput
+    plain = ((1 << n) - 1) & ~(a_mask | lab["Y"] | lab["Z"])
+    rows = [adj[w] & cols | 1 << (n + w) for w in f2.bits(plain)]
+    rows += [(adj[w] ^ (1 << w)) & cols | 1 << (n + w) for w in f2.bits(lab["Y"] & ~a_mask)]
+    reduced, pivots = f2.gauss(rows, cols)
+    echelon = {c: x & cols for c, x in zip(pivots, reduced)}
+    pivot_mask = sum(1 << c for c in pivots)
+    # reach[w]: the pivots that the right-hand-side bit of row w reaches, and
+    # at bit n + i every left-null row i it meets
+    reach = [0] * n
+    for i, x in enumerate(reduced):
+        code = 1 << pivots[i] if i < len(pivots) else 1 << (n + i)
+        for w in f2.bits(x >> n):
+            reach[w] ^= code
+
+    def null(j: int) -> int:
+        """The null vector of M at the non-pivot column j."""
+        return (1 << j) | sum(1 << c for c, x in echelon.items() if (x >> j) & 1)
+
+    def solve(u: int, plane: str) -> Optional[int]:
+        ubit = 1 << u
+        b = ubit if plane == "XY" else adj[u] ^ ubit if plane == "XZ" else adj[u]
+        x = 0
+        for w in f2.bits(b):
+            x ^= reach[w]
+        if x >> n:  # b meets a left-null row: M x = b has no solution
+            return None
+        if x & ubit:  # drop column u: trade it for the lowest other column of its row
+            rest = echelon[u] & ~ubit
+            return x ^ null((rest & -rest).bit_length() - 1) if rest else None
+        if lab["Z"] & ubit:  # add u's own row; fix its parity with a new pivot
+            row = adj[u] & cols
+            if (row & x).bit_count() & 1 != (b >> u) & 1:
+                for c in f2.bits(row & pivot_mask):
+                    row ^= echelon[c]
+                return x ^ null((row & -row).bit_length() - 1) if row else None
+        return x
+
+    return solve
 
 
 def find_pauli_flow_detailed(graph: LabelledOpenGraph):
-    """Run the delayed-layer identification; return (flow or None, stuck front)."""
+    """Run the delayed-layer identification; return (flow or None, stuck front).
+
+    Round k gives depth k to every unsolved vertex whose witness system in
+    some allowed plane is solvable given the vertices solved before round k
+    (at k = 0, not even the outputs); one ``_round_solver`` answers all the
+    systems of a round.  A round after k = 0 that solves nothing leaves the
+    unsolved vertices as the stuck front."""
     bv = BitView(graph)  # not the graph's cached view: flow finding caches nothing on it
     full = (1 << len(bv.verts)) - 1
     noninput = full & ~bv.mask(graph.inputs)
-    lab = graph.labels
     depth: Dict[str, int] = {v: 0 for v in graph.outputs}
     p: Dict[str, FrozenSet[str]] = {}
     solved = bv.outputs
     k = 0
-    while True:
-        a_mask = 0 if k == 0 else solved
+    while solved != full:
+        solve = _round_solver(bv, noninput, solved if k else 0)
         found = 0
         for i in f2.bits(full & ~solved):
             v = bv.verts[i]
-            lu = lab[v]
-            planes = []
-            if lu in ("XY", "X", "Y"):
-                planes.append("XY")
-            if lu in ("XZ", "X", "Z") and v not in graph.inputs:
-                planes.append("XZ")
-            if lu in ("YZ", "Y", "Z") and v not in graph.inputs:
-                planes.append("YZ")
-            for plane in planes:
-                kmask = _solve_witness(bv, noninput, i, a_mask, plane)
+            for plane in _PLANES[graph.labels[v]]:
+                if plane != "XY" and not (noninput >> i) & 1:
+                    continue
+                kmask = solve(i, plane)
                 if kmask is not None:
-                    if plane != "XY":
-                        kmask |= 1 << i
-                    p[v] = bv.unmask(kmask)
+                    p[v] = bv.unmask(kmask if plane == "XY" else kmask | 1 << i)
                     depth[v] = k
                     found |= 1 << i
                     break
         if found:
             solved |= found
-            k += 1
-            continue
-        if k == 0:
-            k += 1
-            continue
-        if solved == full:
-            return PauliFlowData(p, FlowOrder.from_depth(depth)), frozenset()
-        return None, bv.unmask(full & ~solved)
+        elif k:
+            return None, bv.unmask(full & ~solved)
+        k += 1
+    return PauliFlowData(p, FlowOrder.from_depth(depth)), frozenset()
 
 
 def find_pauli_flow(graph: LabelledOpenGraph) -> Optional[PauliFlowData]:

@@ -10,6 +10,9 @@ change, ``order.precedes`` is the only library query they make.
 identification and generator code that solved each GF(2) system through
 ``_Ctx``'s own vertex masks, a column-compressed copy of every row
 (``_restrict``) and the ``F2Matrix`` routines of ``reference_f2``.
+``solve_witness_bits`` is the later per-candidate solve on a
+``graph.BitView``: one ``pauliflow.f2.solve`` of the whole witness system
+for every candidate vertex and plane, with no state shared across them.
 
 The differential tests compare the library against them; nothing in
 ``src/`` imports this module.
@@ -17,6 +20,7 @@ The differential tests compare the library against them; nothing in
 
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
+from pauliflow import f2 as bit_f2
 from pauliflow.extract import ExtractionString
 from pauliflow.f2 import bits
 from pauliflow.flow import FlowOrder, PauliFlowData, _check_shape
@@ -195,6 +199,22 @@ def _solve_witness(ctx: _Ctx, u: int, a_mask: int, plane: str) -> Optional[int]:
     for j in bits(x):
         k |= 1 << cols[j]
     return k
+
+
+def solve_witness_bits(bv, noninput: int, u: int, a_mask: int, plane: str) -> Optional[int]:
+    """Solve the witness system for vertex u at a depth round; return K mask.
+
+    The unknowns are the vertex bits of K, so each row is an adjacency mask
+    cut to them; the right-hand side b rides at the bit above every vertex."""
+    ubit = 1 << u
+    lab, adj, n = bv.label, bv.adj, len(bv.verts)
+    lyu = lab["Y"] & ~ubit
+    k_univ = (a_mask | lab["X"] | lyu) & noninput & ~ubit
+    p_rows = ((1 << n) - 1) & ~(a_mask | lyu | lab["Z"] & ~ubit)
+    b = ubit if plane == "XY" else adj[u] ^ ubit if plane == "XZ" else adj[u]
+    rows = [adj[w] & k_univ | ((b >> w) & 1) << n for w in bits(p_rows)]
+    rows += [(adj[w] ^ (1 << w)) & k_univ | ((b >> w) & 1) << n for w in bits(lyu & ~a_mask)]
+    return bit_f2.solve(rows, k_univ, 1 << n)
 
 
 def _restrict(mask: int, cols: List[int]) -> int:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pauliflow import f2
 from pauliflow.flow import (
     FlowFormatError,
     FlowOrder,
@@ -34,6 +35,7 @@ from tests.conftest import (
     random_circuit_pattern,
     random_flowful_pattern,
     random_labelled_graph,
+    sized_circuit_pattern,
 )
 
 F = Fraction
@@ -122,6 +124,17 @@ def test_find_reports_stuck_front():
         {"a": "XY", "b": "XY", "c": "XY"})
     flow, stuck = find_pauli_flow_detailed(g)
     assert flow is None and stuck == {"a", "b", "c"}
+
+
+def test_find_eliminates_once_per_depth_round(monkeypatch):
+    """One GF(2) elimination per round (a flow of depth d takes d + 1 rounds,
+    d + 2 at most), not one per candidate vertex and plane."""
+    calls = []
+    gauss = f2.gauss
+    monkeypatch.setattr(f2, "gauss", lambda rows, cols: calls.append(1) or gauss(rows, cols))
+    flow = find_pauli_flow(sized_circuit_pattern(160, 16, seed=160).graph)
+    assert flow is not None
+    assert 0 < len(calls) <= max(flow.order.depth.values()) + 2
 
 
 def test_witness_sets_satisfy_layer_conditions():

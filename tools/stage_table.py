@@ -1,7 +1,8 @@
 """Per-stage wall times of the compile pipeline, as a Markdown table.
 
 For ``sized_circuit_pattern(n, n // 10, seed=n)`` (tests/conftest.py) at
-n = 80, 160 and 320 it times, best of 3, each stage on its own:
+n = 80, 160 and 320 (with ``--large``, also 640 and 1280) it times, best
+of 3, each stage on its own:
 
 - find: ``find_pauli_flow``;
 - focus: ``focus_flow`` of the found flow;
@@ -14,17 +15,18 @@ n = 80, 160 and 320 it times, best of 3, each stage on its own:
   given the focussed flow and the sets.
 
 It then prints each stage's growth exponent, the least-squares slope of
-log time against log n over 80 -> 320.  Run it from the root of a checkout
-(it takes no flags):
+log time against log n over 80 -> 320, and with ``--large`` also over
+320 -> 1280.  Run it from the root of a checkout:
 
-    python tools/stage_table.py
+    python tools/stage_table.py [--large]
 """
 
+import argparse
 import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 for path in (ROOT / "src", ROOT):
@@ -40,6 +42,7 @@ from tests.conftest import sized_circuit_pattern  # noqa: E402
 
 STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth", "verify", "lc")
 SIZES = (80, 160, 320)
+LARGE_SIZES = (640, 1280)
 
 
 def _best(call: Callable[[], object], repeats: int):
@@ -80,16 +83,27 @@ def growth_exponent(sizes, seconds) -> float:
             / sum((x - mx) ** 2 for x in xs))
 
 
-def main() -> None:
-    rows = {n: stage_times(n) for n in SIZES}
+def sizes(argv=None) -> Tuple[int, ...]:
+    """The sizes the command line asks for."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--large", action="store_true",
+                        help=f"also time n = {' and '.join(map(str, LARGE_SIZES))}")
+    return SIZES + LARGE_SIZES if parser.parse_args(argv).large else SIZES
+
+
+def main(argv=None) -> None:
+    ns = sizes(argv)
+    rows = {n: stage_times(n) for n in ns}
     print("| n | " + " | ".join(STAGES) + " |")
     print("| --- " * (len(STAGES) + 1) + "|")
-    for n in SIZES:
+    for n in ns:
         print(f"| {n} | " + " | ".join(f"{rows[n][s]:.4f}" for s in STAGES) + " |")
-    print()
-    print(f"growth exponent over {SIZES[0]} -> {SIZES[-1]}:")
-    for s in STAGES:
-        print(f"  {s}: {growth_exponent(SIZES, [rows[n][s] for n in SIZES]):.2f}")
+    spans = [SIZES] if ns == SIZES else [SIZES, (SIZES[-1],) + LARGE_SIZES]
+    for span in spans:
+        print()
+        print(f"growth exponent over {span[0]} -> {span[-1]}:")
+        for s in STAGES:
+            print(f"  {s}: {growth_exponent(span, [rows[n][s] for n in span]):.2f}")
 
 
 if __name__ == "__main__":
