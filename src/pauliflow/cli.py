@@ -317,15 +317,19 @@ def parse_pddag(doc) -> Pddag:
 
 
 def circuit_json(circuit: Circuit) -> dict:
-    gates = []
-    for g in circuit.gates:
-        entry = {"gate": g.name, "qubits": list(g.qubits)}
-        if g.angle is not None:
-            entry["angle"] = angle_json(g.angle)
-        if g.string is not None:
-            entry["string"] = g.string.format(sorted(g.string.support))
-        gates.append(entry)
-    return {"wires": circuit.n_wires, "gates": gates}
+    """The circuit document.  Identical gates share one entry dict, so a
+    caller that mutates the document must deep-copy it first."""
+    entries, by_id = {}, {id(g): g for g in circuit.gates}  # one visit per Gate object
+    for i, g in by_id.items():
+        entry = entries.get(g)
+        if entry is None:
+            entry = entries[g] = {"gate": g.name, "qubits": list(g.qubits)}
+            if g.angle is not None:
+                entry["angle"] = angle_json(g.angle)
+            if g.string is not None:
+                entry["string"] = g.string.format(sorted(g.string.support))
+        by_id[i] = entry
+    return {"wires": circuit.n_wires, "gates": [by_id[id(g)] for g in circuit.gates]}
 
 
 def parse_circuit(doc) -> Circuit:
@@ -365,7 +369,8 @@ def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, byte for
     byte.  Dicts with str keys, lists and ``_LEAF`` types are written here
     (str by the C ``encode_basestring_ascii``, a list of one leaf type in one
-    join); anything else (floats, tuples, non-str keys) by ``json.dumps``."""
+    join); anything else (floats, tuples, non-str keys) by ``json.dumps``.
+    A dict listed again in the same list is encoded once."""
     return _encode(doc, "\n") + "\n"
 
 
@@ -384,9 +389,17 @@ def _encode(obj, nl: str) -> str:
             [_LEAF[str](k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]) + nl + "}"
     if kind is list and obj:
         leaf = _LEAF.get(type(obj[0])) if len(set(map(type, obj))) == 1 else None
-        body = map(leaf, obj) if leaf else [_encode(x, inner) for x in obj]
+        body = (map(leaf, obj) if leaf else _encode_once(obj, inner) if type(obj[0]) is dict
+                else [_encode(x, inner) for x in obj])
         return "[" + inner + ("," + inner).join(body) + nl + "]"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _encode_once(items: list, nl: str) -> List[str]:
+    """_encode of each item at indent nl, each distinct object (by id) once."""
+    text = {id(x): x for x in items}
+    text = {i: _encode(x, nl) for i, x in text.items()}
+    return [text[id(x)] for x in items]
 
 
 # -- subcommands --------------------------------------------------------------------

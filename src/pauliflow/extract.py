@@ -24,6 +24,7 @@ from .flow import (
     FocussedSet,
     NoPauliFlowError,
     PauliFlowData,
+    _paulis_first,
     find_pauli_flow_detailed,
     focus_flow,
     focussed_set_generators,
@@ -108,9 +109,8 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
     bad = verify_flow(g, flow)
     if bad:
         raise ValueError(f"supplied flow is invalid: {bad}")
-    if not is_flow_focussed(g, flow):
-        flow = focus_flow(g, flow)
-    flow = paulis_first(g, flow)
+    flow = (_paulis_first(g, flow) if is_flow_focussed(g, flow)  # one focus check per flow
+            else paulis_first(g, focus_flow(g, flow)))
     if fsets is None:
         fsets = focussed_set_generators(g)
     else:

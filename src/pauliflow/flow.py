@@ -498,6 +498,11 @@ def paulis_first(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData
     """Strip order entries into Pauli-labelled vertices (measure them first)."""
     if not is_flow_focussed(graph, flow):
         raise ValueError("paulis_first needs a focussed flow")
+    return _paulis_first(graph, flow)
+
+
+def _paulis_first(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
+    """``paulis_first`` of a flow already checked to be focussed."""
     pauli = {v for v in graph.measured if graph.labels[v] in PAULI_LABELS}
     order = flow.order.restricted(graph.vertices, targets=graph.vertices - pauli)
     return PauliFlowData(dict(flow.p), order)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from functools import cache, cached_property
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import f2
 from .pauli import (
@@ -484,6 +484,11 @@ def clifford_circuit_from_rows(z_out: List[SignedPauliString],
     reduced to X_k and Z_k, signs are fixed with Z and X, and the
     reduction is returned reversed with S and Sdg swapped.
     """
+    return _clifford_gates(z_out, x_out, Gate)
+
+
+def _clifford_gates(z_out, x_out, gate: Callable) -> List[Gate]:
+    """``clifford_circuit_from_rows`` with its gates built by gate(name, qubits)."""
     n = len(z_out)
     xc = [0] * n
     zc = [0] * n
@@ -495,7 +500,7 @@ def clifford_circuit_from_rows(z_out: List[SignedPauliString],
             xc[q] |= 1 << i
         for q in s.z:
             zc[q] |= 1 << i
-    reducing: List[Gate] = []
+    reducing: List[Tuple[str, Tuple[int, ...]]] = []
 
     def emit(name, a, b=None):
         nonlocal r
@@ -513,7 +518,7 @@ def clifford_circuit_from_rows(z_out: List[SignedPauliString],
             r ^= zc[a]
         else:
             r ^= xc[a]
-        reducing.append(Gate(name, (a,) if b is None else (a, b)))
+        reducing.append((name, (a,) if b is None else (a, b)))
 
     def clean_to_x(row, k):
         # Reduce row (supported on wires >= k) to +-X_k.
@@ -549,12 +554,12 @@ def clifford_circuit_from_rows(z_out: List[SignedPauliString],
     assert r == 0 and all(xc[j] == 1 << (n + j) and zc[j] == 1 << j for j in range(n))
 
     dagger = {"S": "Sdg", "Sdg": "S"}
-    return [Gate(dagger.get(g.name, g.name), g.qubits) for g in reversed(reducing)]
+    return [gate(dagger.get(name, name), qubits) for name, qubits in reversed(reducing)]
 
 
-def lower_exp_gate(gate: Gate) -> List[Gate]:
-    """CX-ladder lowering of a multi-qubit Pauli rotation."""
-    string, angle = gate.string, gate.angle
+def _lowered_exp(string: SignedPauliString, angle: Fraction, gate: Callable) -> List[Gate]:
+    """CX-ladder lowering of the rotation EXP(string, angle), its Clifford
+    gates built by gate(name, qubits)."""
     support = sorted(string.support)
     if not support:
         return []
@@ -564,12 +569,12 @@ def lower_exp_gate(gate: Gate) -> List[Gate]:
     for q in support:
         l = string.letter(q)
         if l == "X":
-            pre.append(Gate("H", (q,)))
-            post.append(Gate("H", (q,)))
+            pre.append(gate("H", (q,)))
+            post.append(gate("H", (q,)))
         elif l == "Y":
-            pre += [Gate("Sdg", (q,)), Gate("H", (q,))]
-            post += [Gate("H", (q,)), Gate("S", (q,))]
-    ladder = [Gate("CX", (support[i], support[i + 1])) for i in range(len(support) - 1)]
+            pre += [gate("Sdg", (q,)), gate("H", (q,))]
+            post += [gate("H", (q,)), gate("S", (q,))]
+    ladder = [gate("CX", (support[i], support[i + 1])) for i in range(len(support) - 1)]
     target = support[-1]
     return (
         pre + ladder
@@ -579,18 +584,20 @@ def lower_exp_gate(gate: Gate) -> List[Gate]:
 
 
 def synthesize(pddag: Pddag, lower_exp: bool = False) -> Circuit:
-    """Tableau synthesis (fresh |0> wires + Clifford) then one rotation per node."""
+    """Tableau synthesis (fresh |0> wires + Clifford) then one rotation per
+    node; each distinct H, S, Sdg, CX, X or Z gate is built once per call."""
     n = len(pddag.tableau.outputs)
     m = len(pddag.tableau.inputs)
     wire = {q: i for i, q in enumerate(pddag.tableau.outputs)}
     z_out, x_out = _complete_tableau(pddag.tableau)
+    gate = cache(Gate)
     gates: List[Gate] = [Gate("INIT0", (w,)) for w in range(m, n)]
-    gates += clifford_circuit_from_rows(z_out, x_out)
+    gates += _clifford_gates(z_out, x_out, gate)
     for nid in pddag.node_ids:
         rot = pddag.nodes[nid]
         if rot.is_identity():
             continue
         wire_string = rot.string.relabelled(wire)
-        exp = Gate("EXP", tuple(sorted(wire_string.support)), angle=rot.angle, string=wire_string)
-        gates += lower_exp_gate(exp) if lower_exp else [exp]
+        gates += (_lowered_exp(wire_string, rot.angle, gate) if lower_exp
+                  else [Gate("EXP", tuple(sorted(wire_string.support)), rot.angle, wire_string)])
     return Circuit(n, tuple(gates))

@@ -4,7 +4,10 @@
 of dicts, lists, strings (quotes, backslashes, control and non-ASCII
 characters included), ints of any size and sign, bools, None, floats and
 tuples it must give the bytes of ``json.dumps(doc, sort_keys=True,
-indent=2)`` plus a newline.
+indent=2)`` plus a newline.  ``dumps`` encodes a dict listed again in one
+list once; hypothesis never draws shared objects, so the shared-identity
+cases are written out, and ``circuit_json`` of a synthesized circuit, whose
+identical gates share one entry dict, is checked at n = 160.
 """
 
 import json
@@ -12,7 +15,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliflow.cli import dumps
+from pauliflow.cli import circuit_json, dumps
+from pauliflow.extract import extract_pddag
+from pauliflow.pddag import synthesize
+from tests.conftest import sized_circuit_pattern
 
 TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", " ",
                                               "\U0001f600", "\ud800", "id", ""])
@@ -38,3 +44,44 @@ def test_document_shapes():
     doc = {"b": [], "a": {}, "deps": [[0, 1], [1, 2]], "ids": ["x", "y"],
            "flag": True, "none": None, "nested": [{"k": [-1, 2 ** 70]}, "s"]}
     assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _same_as_json_dumps(doc):
+    return dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dict_repeated_in_one_list():
+    entry = {"gate": "H", "qubits": [0], "nested": {"k": [1, {"deep": None}]}}
+    assert _same_as_json_dumps([entry, entry, entry])
+    assert _same_as_json_dumps({"gates": [entry] * 5})
+
+
+def test_dict_shared_across_depths():
+    """One object at two indents: each list encodes it at its own depth."""
+    entry = {"a": [1, 2], "b": {"c": "d"}}
+    doc = {"top": [entry, entry], "deeper": {"list": [entry, {"x": [entry, entry]}]},
+           "nested": [[entry], [entry, entry]], "alone": entry}
+    assert _same_as_json_dumps(doc)
+    assert _same_as_json_dumps([doc, doc, entry])
+
+
+def test_shared_and_distinct_dicts_mixed():
+    a, b = {"k": 1}, {"k": 2}
+    equal_but_distinct = {"k": 1}
+    items = [a, b, a, equal_but_distinct, {}, {}, b, a, "s", [a], None]
+    assert _same_as_json_dumps(items)
+    assert _same_as_json_dumps({"items": items, "again": items, "inner": [items, items]})
+
+
+def test_circuit_entries_shared_per_distinct_gate():
+    """synthesize builds each distinct H/S/Sdg/CX gate once and circuit_json
+    gives each distinct gate one entry dict; dumps still writes the bytes of
+    json.dumps."""
+    dag = extract_pddag(sized_circuit_pattern(160, 16, seed=160))
+    circuit = synthesize(dag, lower_exp=True)
+    clifford = [g for g in circuit.gates if g.name in ("H", "S", "Sdg", "CX", "X", "Z")]
+    assert len({id(g) for g in clifford}) == len(set(clifford))
+    doc = circuit_json(circuit)
+    distinct = len(set(circuit.gates))
+    assert len({id(entry) for entry in doc["gates"]}) == distinct < len(circuit.gates) // 4
+    assert _same_as_json_dumps(doc)

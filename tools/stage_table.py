@@ -10,6 +10,9 @@ of 3, each stage on its own:
 - extract: ``extract_pddag`` given the focussed flow and the sets;
 - hasse: ``Pddag.hasse`` on a fresh copy of the extracted Pddag;
 - synth: ``synthesize(dag, lower_exp=True)``;
+- emit: ``dumps(pddag_json(dag))`` plus ``dumps(circuit_json(circuit))`` of
+  that Pddag and circuit, the output path of a compile (the Pddag's Hasse
+  diagram is cached after the first run);
 - verify: ``verify_flow`` of the focussed flow;
 - lc: ``local_complement_pattern`` at the first measured non-input vertex,
   given the focussed flow and the sets.
@@ -33,6 +36,7 @@ for path in (ROOT / "src", ROOT):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from pauliflow.cli import circuit_json, dumps, pddag_json  # noqa: E402
 from pauliflow.extract import extract_pddag  # noqa: E402
 from pauliflow.flow import (  # noqa: E402
     find_pauli_flow, focus_flow, focussed_set_generators, verify_flow)
@@ -40,7 +44,7 @@ from pauliflow.pddag import Pddag, synthesize  # noqa: E402
 from pauliflow.rewrite import local_complement_pattern  # noqa: E402
 from tests.conftest import sized_circuit_pattern  # noqa: E402
 
-STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth", "verify", "lc")
+STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth", "emit", "verify", "lc")
 SIZES = (80, 160, 320)
 LARGE_SIZES = (640, 1280)
 
@@ -66,7 +70,9 @@ def stage_times(n: int, repeats: int = 3) -> Dict[str, float]:
     times["extract"], dag = _best(lambda: extract_pddag(pattern, focussed, fsets), repeats)
     fresh = [Pddag(dag.tableau, dag.node_ids, dag.nodes) for _ in range(repeats)]
     times["hasse"], _ = _best(lambda: fresh.pop().hasse(), repeats)
-    times["synth"], _ = _best(lambda: synthesize(dag, lower_exp=True), repeats)
+    times["synth"], circuit = _best(lambda: synthesize(dag, lower_exp=True), repeats)
+    times["emit"], _ = _best(
+        lambda: dumps(pddag_json(dag)) + dumps(circuit_json(circuit)), repeats)
     times["verify"], _ = _best(lambda: verify_flow(g, focussed), repeats)
     u = sorted(g.measured - g.inputs)[0]
     times["lc"], _ = _best(
