@@ -15,6 +15,8 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from . import extract as extract_mod
@@ -195,12 +197,12 @@ def parse_flow(obj, path: str, vertices=()) -> flow_mod.PauliFlowData:
                 raise SchemaError(f"{path}/depth/{v}", "expected a non-negative integer")
         order = flow_mod.FlowOrder.from_depth(obj["depth"], vertices)
     else:
-        pairs = set()
-        for i, pair in enumerate(obj["order"]):
-            if not isinstance(pair, list) or len(pair) != 2 \
-                    or not all(isinstance(x, str) for x in pair):
-                raise SchemaError(f"{path}/order/{i}", "expected a pair")
-            pairs.add((pair[0], pair[1]))
+        pairs = obj["order"]
+        if _pair_member_types(pairs) not in ({str}, set()):  # find the first bad pair
+            for i, pair in enumerate(pairs):
+                if not isinstance(pair, list) or len(pair) != 2 \
+                        or not all(isinstance(x, str) for x in pair):
+                    raise SchemaError(f"{path}/order/{i}", "expected a pair")
         order = flow_mod.FlowOrder.from_pairs(pairs)
     return flow_mod.PauliFlowData(p, order)
 
@@ -236,7 +238,7 @@ def flow_json(flow: flow_mod.PauliFlowData, graph: LabelledOpenGraph) -> dict:
     if flow.order.depth is not None:
         out["depth"] = dict(sorted(flow.order.depth.items()))
     else:
-        out["order"] = sorted([list(p) for p in flow.order.as_pairs(graph.vertices)])
+        out["order"] = flow.order.pair_lists(graph.vertices)
     return out
 
 
@@ -369,13 +371,23 @@ def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, byte for
     byte.  Dicts with str keys, lists and ``_LEAF`` types are written here
     (str by the C ``encode_basestring_ascii``, a list of one leaf type in one
-    join); anything else (floats, tuples, non-str keys) by ``json.dumps``.
-    A dict listed again in the same list is encoded once."""
+    join, a list of two-item lists of one leaf type, such as edges and flow
+    orders, in one join of the joined pairs); anything else (floats,
+    tuples, non-str keys) by ``json.dumps``.  A dict listed again in the
+    same list is encoded once."""
     return _encode(doc, "\n") + "\n"
 
 
 _LEAF = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
          bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _pair_member_types(items: list) -> Optional[set]:
+    """The types of the members of the items if every item is a two-item
+    list, else None."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        return set(map(type, chain.from_iterable(items)))
+    return None
 
 
 def _encode(obj, nl: str) -> str:
@@ -389,10 +401,23 @@ def _encode(obj, nl: str) -> str:
             [_LEAF[str](k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]) + nl + "}"
     if kind is list and obj:
         leaf = _LEAF.get(type(obj[0])) if len(set(map(type, obj))) == 1 else None
+        members = None if leaf else _pair_member_types(obj)
+        if members is not None and len(members) == 1 and members <= _LEAF.keys():
+            return _encode_pairs(obj, _LEAF[members.pop()], inner, nl)
         body = (map(leaf, obj) if leaf else _encode_once(obj, inner) if type(obj[0]) is dict
                 else [_encode(x, inner) for x in obj])
         return "[" + inner + ("," + inner).join(body) + nl + "]"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _encode_pairs(pairs: list, leaf, inner: str, nl: str) -> str:
+    """_encode of a non-empty list of two-item lists whose members the
+    leaf encoder writes; inner is nl indented once more."""
+    deeper = inner + "  "
+    texts = map(("," + deeper).join, zip(map(leaf, map(itemgetter(0), pairs)),
+                                          map(leaf, map(itemgetter(1), pairs))))
+    return ("[" + inner + "[" + deeper + (inner + "]," + inner + "[" + deeper).join(texts)
+            + inner + "]" + nl + "]")
 
 
 def _encode_once(items: list, nl: str) -> List[str]:

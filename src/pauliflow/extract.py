@@ -76,7 +76,7 @@ def extraction_string(pattern: MeasurementPattern, flow_or_fset, v: Optional[str
     overlap = (members & odd).bit_count()
     if overlap % 2:
         raise ValueError("correction set overlaps its odd neighbourhood oddly")
-    pauli_pi = bv.mask(pattern.pauli_pi_vertices() - {v})
+    pauli_pi = bv.mask(pattern.pauli_pi_vertices()) & ~bv.bit.get(v, 0)
     c = bv.edges_inside(members) + overlap // 2 + ((members | odd) & pauli_pi).bit_count()
     string = SignedPauliString.from_xz(bv.unmask(members & bv.outputs),
                                        bv.unmask(odd & bv.outputs), 2 * (c % 2))
@@ -100,8 +100,7 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
     both report sides use the same tableau-row representatives.
     """
     g = pattern.graph
-    if any(str(v).startswith("t:") for v in g.vertices):
-        raise ValueError("vertex ids starting with 't:' are reserved")
+    _check_ids(g)
     if flow is None:
         flow, stuck = find_pauli_flow_detailed(g)
         if flow is None:
@@ -111,6 +110,22 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
         raise ValueError(f"supplied flow is invalid: {bad}")
     flow = (_paulis_first(g, flow) if is_flow_focussed(g, flow)  # one focus check per flow
             else paulis_first(g, focus_flow(g, flow)))
+    return _extract_pddag(pattern, flow, fsets, extension_sets)
+
+
+def _check_ids(graph: LabelledOpenGraph) -> None:
+    if any(str(v).startswith("t:") for v in graph.vertices):
+        raise ValueError("vertex ids starting with 't:' are reserved")
+
+
+def _extract_pddag(pattern: MeasurementPattern, flow: PauliFlowData,
+                   fsets: Optional[Sequence[FocussedSet]] = None,
+                   extension_sets: Optional[Mapping[str, FrozenSet[str]]] = None) -> Pddag:
+    """``extract_pddag`` of a flow already checked to be valid and focussed,
+    with its Pauli vertices first (``paulis_first``), on a graph whose ids
+    ``_check_ids`` passed; the focussed sets and extension sets are still
+    checked here."""
+    g = pattern.graph
     if fsets is None:
         fsets = focussed_set_generators(g)
     else:

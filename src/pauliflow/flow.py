@@ -30,7 +30,10 @@ vertices latest first finds every set it needs already focussed.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import f2
@@ -45,6 +48,9 @@ class NoPauliFlowError(ValueError):
     def __init__(self, stuck: FrozenSet[str]):
         self.stuck = stuck
         super().__init__(f"no Pauli flow; stuck vertex front {sorted(stuck)}")
+
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class FlowOrder:
@@ -80,13 +86,21 @@ class FlowOrder:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, str]]) -> "FlowOrder":
-        """Transitive closure of the (before, after) pairs; cycles are rejected."""
+        """Transitive closure of the (before, after) pairs; cycles are rejected.
+
+        The vertices are listed by ascending number of pairs they start,
+        then by id.  A closed order listed so has every successor listed
+        first (it has fewer successors), so ``_close`` closes it in one
+        pass; other pair sets may need Kahn's algorithm."""
         pairs = list(pairs)
-        verts = sorted({v for pair in pairs for v in pair})
+        starts = Counter(map(itemgetter(0), pairs))
+        verts = sorted(starts.keys() | set(map(itemgetter(1), pairs)),
+                       key=lambda v: (starts[v], v))
         index = {v: i for i, v in enumerate(verts)}
+        bit = {v: 1 << i for i, v in enumerate(verts)}
         direct = [0] * len(verts)
         for a, b in pairs:
-            direct[index[a]] |= 1 << index[b]
+            direct[index[a]] |= bit[b]
         return cls(*_close(verts, direct))
 
     def precedes(self, u: str, v: str) -> bool:
@@ -100,11 +114,19 @@ class FlowOrder:
         return sum(1 << index[v] for v in set(vertices) if v in index)
 
     def as_pairs(self, vertices: Iterable[str]) -> FrozenSet[Tuple[str, str]]:
+        return frozenset(map(tuple, self.pair_lists(vertices)))
+
+    def pair_lists(self, vertices: Iterable[str]) -> List[List[str]]:
+        """The (before, after) pairs among the vertices as sorted lists."""
+        vertices = sorted(self.index.keys() & set(vertices))
         sel = self._mask(vertices)
-        verts = self.verts
-        return frozenset(
-            (verts[i], verts[j]) for i in f2.bits(sel) for j in f2.bits(self.succ[i] & sel)
-        )
+        out: List[List[str]] = []
+        for a in vertices:
+            # the binary digits of a's successor mask, lowest first, as 0/1
+            # bytes select a's successors from the listing
+            digits = bin(self.succ[self.index[a]] & sel)[:1:-1].encode().translate(_DIGITS)
+            out += [[a, b] for b in sorted(compress(self.verts, digits))]
+        return out
 
     def restricted(self, vertices: Iterable[str],
                    targets: Optional[Iterable[str]] = None) -> "FlowOrder":
@@ -141,9 +163,7 @@ class FlowOrder:
             for x, s in enumerate(succ):
                 if x == ia or (s >> ia) & 1:
                     succ[x] = s | reach
-        if any(s >> i for i, s in enumerate(succ)):
-            return FlowOrder(*_close(verts, succ))
-        return FlowOrder(verts, succ)
+        return FlowOrder(*_close(verts, succ))
 
     def emission_order(self, vertices: Iterable[str]) -> List[str]:
         """Latest-measured first, deterministic (lexicographic tie-break)."""
@@ -188,8 +208,23 @@ class FlowOrder:
 
 
 def _close(verts: Sequence[str], direct: List[int]) -> Tuple[List[str], List[int]]:
-    """Transitive closure of successor masks, relisted later vertices first
-    (Kahn's algorithm: a vertex is listed once all its successors are)."""
+    """Transitive closure of successor masks, listed later vertices first.
+
+    If every vertex's successors are listed before it, one pass in listing
+    order closes the masks: it takes the highest successor not yet reached
+    and adds everything after it, so a closed mask costs one step per
+    covering successor.  Otherwise Kahn's algorithm relists the vertices
+    (a vertex is listed once all its successors are)."""
+    if not any(m >> i for i, m in enumerate(direct)):
+        reached: List[int] = []
+        for m in direct:
+            reach = m
+            while m:
+                j = m.bit_length() - 1
+                reach |= reached[j]
+                m &= ~(reached[j] | 1 << j)
+            reached.append(reach)
+        return list(verts), reached
     n = len(direct)
     pending = [m.bit_count() for m in direct]
     before: List[List[int]] = [[] for _ in range(n)]

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from .extract import extract_pddag, extraction_string, trailing_nodes
+from .extract import (_check_ids, _extract_pddag, extract_pddag, extraction_string,
+                      trailing_nodes)
 from .flow import (
     FocussedSet,
     PauliFlowData,
+    _paulis_first,
     is_flow_focussed,
     switch_flow,
     unfocussed,
@@ -40,11 +42,19 @@ class RewriteReport:
 
 
 def _require_focussed(pattern: MeasurementPattern, flow: PauliFlowData) -> None:
+    """The one check of a rewrite's input flow; ``_base_pddag`` relies on it."""
     bad = verify_flow(pattern.graph, flow)
     if bad:
         raise ValueError(f"flow is invalid: {bad}")
     if not is_flow_focussed(pattern.graph, flow):
         raise ValueError("rewrites need a focussed flow")
+
+
+def _base_pddag(pattern: MeasurementPattern, flow: PauliFlowData,
+                fsets: Sequence[FocussedSet]) -> Pddag:
+    """The input's Pddag, extracted without checking its flow again."""
+    _check_ids(pattern.graph)
+    return _extract_pddag(pattern, _paulis_first(pattern.graph, flow), fsets)
 
 
 def _pull_new_trailing(dag: Pddag, pattern: MeasurementPattern,
@@ -99,7 +109,7 @@ def relabel_pauli(pattern: MeasurementPattern, flow: PauliFlowData,
     flow2 = PauliFlowData({v: s if v == u else shifted(s) for v, s in flow.p.items()},
                           flow.order)
     fsets2 = tuple(shifted(fs) for fs in fsets)
-    base = extract_pddag(pattern, flow, fsets)
+    base = _base_pddag(pattern, flow, fsets)
     ext2 = {w: shifted(s) for w, s in base.tableau.x_corrections.items()}
     sim = base.push_clifford_front(u) if u in base.nodes else base
     return RewriteReport(
@@ -147,7 +157,7 @@ def eliminate_z(pattern: MeasurementPattern, flow: PauliFlowData,
     flow2 = PauliFlowData(p, flow.order.restricted(pattern2.graph.vertices))
     fsets2 = tuple(fsets)
 
-    base = extract_pddag(pattern, flow, fsets)
+    base = _base_pddag(pattern, flow, fsets)
     ext2 = dict(base.tableau.x_corrections)  # u never appears in them
     sim = base
     if g.is_planar(u) and u in sim.nodes:
@@ -274,7 +284,7 @@ def local_complement_pattern(pattern: MeasurementPattern, flow: PauliFlowData,
         raise ValueError(f"{u!r} is an input")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    base = extract_pddag(pattern, flow, fsets)
+    base = _base_pddag(pattern, flow, fsets)
     pattern2, flow2, fsets2, ext2 = _lc_updates(
         pattern, flow, fsets, u, direction, ext=dict(base.tableau.x_corrections))
     sim = _lc_sim(base, pattern, flow, pattern2, flow2, u, direction)
@@ -293,7 +303,7 @@ def pivot_pattern(pattern: MeasurementPattern, flow: PauliFlowData,
         raise ValueError("pivot endpoints must not be inputs")
     if not g.adjacent(u, v):
         raise ValueError(f"{u!r} and {v!r} are not adjacent")
-    base = extract_pddag(pattern, flow, fsets)
+    base = _base_pddag(pattern, flow, fsets)
     sim = base
     state = (pattern, flow, tuple(fsets), dict(base.tableau.x_corrections))
     for vertex, direction in ((u, 1), (v, -1), (u, 1)):
@@ -323,7 +333,7 @@ def switch_flow_rewrite(pattern: MeasurementPattern, flow: PauliFlowData,
     _require_focussed(pattern, flow)
     g = pattern.graph
     flow2 = switch_flow(g, flow, u, fset)
-    base = extract_pddag(pattern, flow, fsets)
+    base = _base_pddag(pattern, flow, fsets)
     sim = base
     stab = extraction_string(pattern, fset).string
     involved = {w for w in g.inputs if u in unfocussed(g, {w})}

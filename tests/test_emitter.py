@@ -4,7 +4,9 @@
 of dicts, lists, strings (quotes, backslashes, control and non-ASCII
 characters included), ints of any size and sign, bools, None, floats and
 tuples it must give the bytes of ``json.dumps(doc, sort_keys=True,
-indent=2)`` plus a newline.  ``dumps`` encodes a dict listed again in one
+indent=2)`` plus a newline.  Lists of two-item lists of one leaf type
+(edges, flow orders) have a path of their own, so they are drawn apart,
+alone and mixed with other items.  ``dumps`` encodes a dict listed again in one
 list once; hypothesis never draws shared objects, so the shared-identity
 cases are written out, and ``circuit_json`` of a synthesized circuit, whose
 identical gates share one entry dict, is checked at n = 160.
@@ -85,3 +87,32 @@ def test_circuit_entries_shared_per_distinct_gate():
     distinct = len(set(circuit.gates))
     assert len({id(entry) for entry in doc["gates"]}) == distinct < len(circuit.gates) // 4
     assert _same_as_json_dumps(doc)
+
+
+PAIR_MEMBERS = st.sampled_from([TEXT, st.integers(), st.booleans(), st.none()])
+PAIR_LISTS = PAIR_MEMBERS.flatmap(
+    lambda member: st.lists(st.lists(member, min_size=2, max_size=2), max_size=6))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(PAIR_LISTS, st.lists(LEAVES | st.lists(LEAVES, max_size=3), max_size=2))
+def test_pair_lists_match_json_dumps(pairs, others):
+    """Lists of two-item lists of one leaf type take the pair path; mixed
+    in with other items or nested, they do not, and the bytes stay the same."""
+    assert _same_as_json_dumps(pairs)
+    assert _same_as_json_dumps({"order": pairs, "edges": [pairs, pairs]})
+    assert _same_as_json_dumps(pairs + others)
+    assert _same_as_json_dumps(others + pairs)
+
+
+def test_pair_lists_written_out():
+    ids = ['a"b', "c\\d", "e\nf", "é", "\U0001f600", "\x00", "plain", ""]
+    pairs = [[a, b] for a in ids for b in ids if a != b]
+    assert _same_as_json_dumps(pairs)
+    assert _same_as_json_dumps({"flow": {"order": pairs, "p": {}}, "edges": []})
+    for mixed in ([["a", "b"], ["c", 1]], [["a", "b"], ["c", "d", "e"]],
+                  [["a", "b"], [["c"], "d"]], [["a", "b"], "c"], [["a", "b"], []],
+                  [["a", "b"], ("c", "d")], [[1, True]], [[1.5, 2.5]], [[None, None]],
+                  [[[1, 2], [3, 4]]], [{"a": 1}, ["b", "c"]]):
+        assert _same_as_json_dumps(mixed)
+        assert _same_as_json_dumps({"k": [mixed, mixed]})

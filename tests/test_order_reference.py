@@ -1,9 +1,9 @@
 """Differential tests: the bit-mask order code against reference_order.py.
 
-Flow orders (closure, restriction, extension, emission order), the Pddag
-partial order, Hasse diagram and relinearisation must match the naive
-pair-set implementations exactly, on random DAGs and on the orders the
-pipeline really builds.
+Flow orders (closure, restriction, extension, emission order, and the
+pair lists flow documents carry), the Pddag partial order, Hasse diagram
+and relinearisation must match the naive pair-set implementations
+exactly, on random DAGs and on the orders the pipeline really builds.
 """
 
 import random
@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 
+from pauliflow.cli import flow_json, parse_flow
 from pauliflow.extract import extract_pddag
 from pauliflow.flow import (
     FlowFormatError,
     FlowOrder,
+    PauliFlowData,
     find_pauli_flow,
     focus_flow,
     focussed_set_generators,
@@ -34,6 +36,7 @@ from tests.reference_order import (
     pddag_partial_order,
     restrict,
     stabilizer_relinearized,
+    transitive_closure,
 )
 
 
@@ -241,3 +244,107 @@ def test_pipeline_pddag_orders_match_reference(n):
         if rewritten == 3:
             break
     assert rewritten
+
+
+# -- order I/O: reading pair lists and writing them back --------------------------------
+
+
+def stuck_message(pairs):
+    """FlowFormatError's message for cyclic pairs: the vertices that reach a cycle."""
+    closure = transitive_closure(pairs)
+    on_cycle = {a for a, b in closure if a == b}
+    stuck = {a for a, b in closure if b in on_cycle}
+    return f"order has a cycle through some of {sorted(stuck)}"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_from_pairs_matches_reference(seed):
+    """Closed, covering-only and cyclic pair lists, in shuffled order with
+    repeats; a closed list keeps its listing by successor count."""
+    rng = random.Random(1000 + seed)
+    n = rng.randrange(1, 40)
+    names, pairs = random_dag(rng, n, rng.choice((0.05, 0.2, 0.5, 0.9)))
+    closed = closed_order(pairs)
+    covers = hasse(names, closed)
+    for given in (closed, covers, pairs):
+        listed = [list(p) for p in given] + [list(p) for p in given if rng.random() < 0.1]
+        rng.shuffle(listed)
+        order = FlowOrder.from_pairs(listed)
+        assert order.as_pairs(names) == closed
+        for i, succ in enumerate(order.succ):  # the highest bit is a covering successor
+            assert not succ or (order.verts[i], order.verts[succ.bit_length() - 1]) in covers
+    listed = {v for pair in closed for v in pair}
+    count = {v: sum(1 for a, _ in closed if a == v) for v in listed}
+    assert FlowOrder.from_pairs(closed).verts == tuple(
+        sorted(listed, key=lambda v: (count[v], v)))
+
+    if closed:
+        a, b = rng.choice(sorted(closed))
+        for back in ((b, a), (a, a), (b, b)):
+            cyclic = sorted(pairs | {back})
+            rng.shuffle(cyclic)
+            with pytest.raises(FlowFormatError) as err:
+                FlowOrder.from_pairs(cyclic)
+            assert str(err.value) == stuck_message(cyclic)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_pairs_closes_covers_listed_first(seed):
+    """Covering pairs padded with pairs into fresh sinks, more of them the
+    earlier the vertex, so that listing by successor count lists every
+    successor first and the covers are closed without Kahn's algorithm."""
+    rng = random.Random(3000 + seed)
+    n = rng.randrange(2, 14)
+    names, pairs = random_dag(rng, n, rng.choice((0.2, 0.5, 0.9)))
+    closed = closed_order(pairs)
+    sinks = {(v, f"{v}-sink{t}") for i, v in enumerate(names) for t in range(n * (n - i))}
+    order = FlowOrder.from_pairs(hasse(names, closed) | sinks)
+    assert order.verts[-1] == names[0]  # the listing by successor count was kept
+    assert order.as_pairs(names) == closed
+    for v, sink in rng.sample(sorted(sinks), min(50, len(sinks))):
+        assert all(order.precedes(u, sink) == ((u, v) in closed or u == v) for u in names)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_flow_json_order_matches_reference(seed):
+    """The written order is every closed pair among the graph's vertices,
+    sorted, for orders built from pairs and restricted or extended ones."""
+    rng = random.Random(2000 + seed)
+    n = rng.randrange(1, 30)
+    names, pairs = random_dag(rng, n, rng.choice((0.05, 0.3, 0.8)))
+    vertices = set(rng.sample(names, rng.randrange(0, n + 1))) | {"only-in-graph"}
+    graph = LabelledOpenGraph.make(vertices, [], [], vertices, {})
+    order = FlowOrder.from_pairs(pairs)
+    keep = set(rng.sample(names, rng.randrange(0, n + 1)))
+    extra = random_extra(rng, names, 3)
+    for built, ref in ((order, closed_order(pairs)),
+                       (order.restricted(keep), restrict(closed_order(pairs), keep)),
+                       (order.extended(keep, extra),
+                        closed_order(restrict(closed_order(pairs), keep) | extra))):
+        written = flow_json(PauliFlowData({}, built), graph)["order"]
+        assert written == sorted([list(p) for p in restrict(ref, vertices)])
+        assert written == sorted([list(p) for p in built.as_pairs(vertices)])
+        assert parse_flow({"p": {}, "order": written}, "/flow").order.as_pairs(vertices) \
+            == restrict(ref, vertices)
+
+
+def test_switched_pipeline_flow_round_trips():
+    """After a switch the flow has no depth map; its document lists the closed
+    order, and parsing it gives the same order back."""
+    pattern = with_prepared_wire(sized_circuit_pattern(80, 8, seed=80))
+    g = pattern.graph
+    flow = focus_flow(g, find_pauli_flow(g))
+    (fset,) = focussed_set_generators(g)
+    for u in sorted(g.measured):
+        try:
+            switched = switch_flow(g, flow, u, fset)
+        except ValueError:
+            continue
+        break
+    doc = flow_json(switched, g)
+    assert "depth" not in doc
+    assert doc["order"] == sorted([list(p) for p in switched.order.as_pairs(g.vertices)])
+    assert len(doc["order"]) > 1000
+    back = parse_flow(doc, "/flow", sorted(g.vertices))
+    assert back.order.as_pairs(g.vertices) == switched.order.as_pairs(g.vertices)
+    assert back.order.emission_order(g.measured) == switched.order.emission_order(g.measured)

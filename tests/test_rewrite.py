@@ -11,8 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from pauliflow import extract as extract_mod
+from pauliflow import flow as flow_mod
+from pauliflow import rewrite as rewrite_mod
 from pauliflow.extract import extract_pddag, extraction_string
 from pauliflow.flow import (
+    PauliFlowData,
+    add_correction_sets,
     find_pauli_flow,
     focus_flow,
     focussed_set_generators,
@@ -701,3 +706,62 @@ def test_focussed_flows_related_by_switches():
         assert verify_flow(g, reached) == []
         checked += 1
     assert checked == 15
+
+
+# -- the input flow checks ----------------------------------------------------------
+
+
+def _all_rewrites_pattern():
+    """The worked example with pi at a and a Clifford angle at c, so that
+    every rewrite in REWRITES applies."""
+    return worked_example(alpha_a=F(1), alpha_c=HALF)
+
+
+REWRITES = {
+    "relabel": lambda pattern, flow, fsets: relabel_pauli(pattern, flow, fsets, "c"),
+    "zelim": lambda pattern, flow, fsets: eliminate_z(pattern, flow, fsets, "a"),
+    "lc": lambda pattern, flow, fsets: local_complement_pattern(pattern, flow, fsets, "d"),
+    "pivot": lambda pattern, flow, fsets: pivot_pattern(pattern, flow, fsets, "a", "b"),
+    "switch": lambda pattern, flow, fsets: switch_flow_rewrite(pattern, flow, fsets, "b",
+                                                               fsets[0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REWRITES))
+def test_rewrites_reject_an_invalid_input_flow(kind):
+    pattern, flow = _all_rewrites_pattern(), worked_example_flow()
+    invalid = PauliFlowData(dict(flow.p, c=frozenset({"o2"})), flow.order)
+    assert verify_flow(pattern.graph, invalid)
+    with pytest.raises(ValueError, match=r"^flow is invalid: \[\("):
+        REWRITES[kind](pattern, invalid, [worked_example_fset()])
+
+
+@pytest.mark.parametrize("kind", sorted(REWRITES))
+def test_rewrites_reject_an_unfocussed_input_flow(kind):
+    pattern = _all_rewrites_pattern()
+    unfocussed = add_correction_sets(worked_example_flow(), "b", "c")
+    assert verify_flow(pattern.graph, unfocussed) == []
+    assert not is_flow_focussed(pattern.graph, unfocussed)
+    with pytest.raises(ValueError, match="^rewrites need a focussed flow$"):
+        REWRITES[kind](pattern, unfocussed, [worked_example_fset()])
+
+
+@pytest.mark.parametrize("kind", sorted(REWRITES))
+def test_rewrites_check_each_flow_once(kind, monkeypatch):
+    """One verify_flow and one is_flow_focussed on the input flow (the
+    extraction of the input's Pddag does not repeat them) and one each on
+    the output flow, in the extraction of the rewritten pattern's Pddag."""
+    seen = {"verify_flow": [], "is_flow_focussed": []}
+    for name, flows in seen.items():
+        def counted(graph, flow, check=getattr(flow_mod, name), flows=flows):
+            flows.append(flow)
+            return check(graph, flow)
+        for module in (flow_mod, extract_mod, rewrite_mod):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    flow = worked_example_flow()
+    report = REWRITES[kind](_all_rewrites_pattern(), flow, [worked_example_fset()])
+    assert report.consistent
+    for flows in seen.values():
+        assert len(flows) == 2
+        assert flows[0] is flow and flows[1] is report.flow_after

@@ -13,6 +13,11 @@ of 3, each stage on its own:
 - emit: ``dumps(pddag_json(dag))`` plus ``dumps(circuit_json(circuit))`` of
   that Pddag and circuit, the output path of a compile (the Pddag's Hasse
   diagram is cached after the first run);
+- doc: ``parse_pattern_document`` of a loaded pattern document plus
+  ``dumps(pattern_document(...))``, for the pattern with one input
+  prepared instead, its focussed set and its focussed flow after one
+  ``switch_flow``, which has no depth map, so the document lists the closed
+  order pair by pair (the document I/O of a rewrite chain);
 - verify: ``verify_flow`` of the focussed flow;
 - lc: ``local_complement_pattern`` at the first measured non-input vertex,
   given the focussed flow and the sets.
@@ -25,6 +30,7 @@ log time against log n over 80 -> 320, and with ``--large`` also over
 """
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -36,15 +42,17 @@ for path in (ROOT / "src", ROOT):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from pauliflow.cli import circuit_json, dumps, pddag_json  # noqa: E402
+from pauliflow.cli import (  # noqa: E402
+    circuit_json, dumps, parse_pattern_document, pattern_document, pddag_json)
 from pauliflow.extract import extract_pddag  # noqa: E402
 from pauliflow.flow import (  # noqa: E402
-    find_pauli_flow, focus_flow, focussed_set_generators, verify_flow)
+    find_pauli_flow, focus_flow, focussed_set_generators, switch_flow, verify_flow)
 from pauliflow.pddag import Pddag, synthesize  # noqa: E402
 from pauliflow.rewrite import local_complement_pattern  # noqa: E402
-from tests.conftest import sized_circuit_pattern  # noqa: E402
+from tests.conftest import sized_circuit_pattern, with_prepared_wires  # noqa: E402
 
-STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth", "emit", "verify", "lc")
+STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth", "emit", "doc", "verify",
+          "lc")
 SIZES = (80, 160, 320)
 LARGE_SIZES = (640, 1280)
 
@@ -73,11 +81,31 @@ def stage_times(n: int, repeats: int = 3) -> Dict[str, float]:
     times["synth"], circuit = _best(lambda: synthesize(dag, lower_exp=True), repeats)
     times["emit"], _ = _best(
         lambda: dumps(pddag_json(dag)) + dumps(circuit_json(circuit)), repeats)
+    times["doc"], _ = _best(_document_io(pattern), repeats)
     times["verify"], _ = _best(lambda: verify_flow(g, focussed), repeats)
     u = sorted(g.measured - g.inputs)[0]
     times["lc"], _ = _best(
         lambda: local_complement_pattern(pattern, focussed, fsets, u, 1), repeats)
     return times
+
+
+def _document_io(pattern) -> Callable[[], object]:
+    """The doc stage's call: read and write the document of the pattern with
+    one input prepared, its focussed set and its focussed flow switched at
+    the first measured vertex a switch by that set is not blocked at."""
+    prepared = with_prepared_wires(pattern, 1)
+    g = prepared.graph
+    flow = focus_flow(g, find_pauli_flow(g))
+    fsets = focussed_set_generators(g)
+    for u in sorted(g.measured):
+        try:
+            switched = switch_flow(g, flow, u, fsets[0])
+        except ValueError:  # blocked by a planar vertex
+            continue
+        break
+    doc = json.loads(dumps(pattern_document(prepared, switched, fsets)))
+    return lambda: (parse_pattern_document(doc),
+                    dumps(pattern_document(prepared, switched, fsets)))
 
 
 def growth_exponent(sizes, seconds) -> float:
