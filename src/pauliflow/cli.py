@@ -59,7 +59,8 @@ def parse_angle(obj, path: str, float_angles: bool = False) -> Fraction:
 
 
 def angle_json(a: Fraction) -> Dict[str, int]:
-    a = Fraction(a)
+    if type(a) is not Fraction:
+        a = Fraction(a)
     return {"num": a.numerator, "den": a.denominator}
 
 

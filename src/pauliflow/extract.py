@@ -13,6 +13,14 @@ the same in the pattern's own graph, where it is computed; the extended
 graph is never built.  Once the flow is focussed, that set is {u} XOR the
 correction sets of the measured vertices {u} is not focussed over (see
 ``flow``).
+
+Extraction reads the mask context that verifying the flow built
+(``flow.FlowMasks``): the primary strings and the inputs' Z rows take p(v)
+and Odd(p(v)) from it, and an X row's set takes its odd neighbourhood by
+linearity, Odd({u}) = adj[u] XOR the odd masks of the sets it adds.  Only
+a focussed set or a supplied extension set has its odd neighbourhood
+computed here.  A string's sign counts the edges inside its set in one
+pass over the members.
 """
 
 from __future__ import annotations
@@ -20,19 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from . import f2
 from .flow import (
+    FlowMasks,
     FocussedSet,
     NoPauliFlowError,
     PauliFlowData,
+    _focus,
+    _focussed,
     _paulis_first,
+    _unfocussed,
+    _verify,
     find_pauli_flow_detailed,
-    focus_flow,
     focussed_set_generators,
-    is_flow_focussed,
-    paulis_first,
-    unfocussed,
-    verify_flow,
-    verify_focussed,
 )
 from .graph import BitView, LabelledOpenGraph, MeasurementPattern, TrailingGate
 from .pauli import GATE_ROTATIONS, Rotation, SignedPauliString, single
@@ -69,15 +77,27 @@ def extraction_string(pattern: MeasurementPattern, flow_or_fset, v: Optional[str
     """Primary extraction string of a vertex, or the stabilizer of a focussed set."""
     bv = pattern.graph.bit_view
     members = bv.mask(flow_or_fset.p[v] if v is not None else flow_or_fset)
-    odd = bv.odd(members)
+    return _string(bv, bv.mask(pattern.pauli_pi_vertices()), members, bv.odd(members), v)
+
+
+def _string(bv: BitView, pauli_pi: int, members: int, odd: int,
+            v: Optional[str] = None) -> ExtractionString:
+    """``extraction_string`` of the member set with odd neighbourhood odd,
+    as masks over a view of the pattern's graph; pauli_pi masks the
+    pattern's Pauli vertices measured at angle pi."""
     axis = _axis(bv, v, members, odd) if v is not None else None
     # sign: one flip per edge inside the set, per Y pair, per absorbed
     # Pauli measurement at angle pi (other than v itself)
     overlap = (members & odd).bit_count()
     if overlap % 2:
         raise ValueError("correction set overlaps its odd neighbourhood oddly")
-    pauli_pi = bv.mask(pattern.pauli_pi_vertices()) & ~bv.bit.get(v, 0)
-    c = bv.edges_inside(members) + overlap // 2 + ((members | odd) & pauli_pi).bit_count()
+    adj, twice_inside, m = bv.adj, 0, members
+    while m:  # each inside edge is counted from both ends
+        low = m & -m
+        twice_inside += (adj[low.bit_length() - 1] & members).bit_count()
+        m ^= low
+    pauli_pi &= ~bv.bit.get(v, 0)
+    c = twice_inside // 2 + overlap // 2 + ((members | odd) & pauli_pi).bit_count()
     string = SignedPauliString.from_xz(bv.unmask(members & bv.outputs),
                                        bv.unmask(odd & bv.outputs), 2 * (c % 2))
     return ExtractionString(axis, string)
@@ -105,12 +125,12 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
         flow, stuck = find_pauli_flow_detailed(g)
         if flow is None:
             raise NoPauliFlowError(stuck)
-    bad = verify_flow(g, flow)
+    bad, masks = _verify(g, flow)
     if bad:
         raise ValueError(f"supplied flow is invalid: {bad}")
-    flow = (_paulis_first(g, flow) if is_flow_focussed(g, flow)  # one focus check per flow
-            else paulis_first(g, focus_flow(g, flow)))
-    return _extract_pddag(pattern, flow, fsets, extension_sets)
+    if not _focussed(masks):  # one focus check per flow
+        flow, masks = _focus(g, flow, masks)
+    return _extract_pddag(pattern, _paulis_first(g, flow), masks, fsets, extension_sets)
 
 
 def _check_ids(graph: LabelledOpenGraph) -> None:
@@ -118,27 +138,37 @@ def _check_ids(graph: LabelledOpenGraph) -> None:
         raise ValueError("vertex ids starting with 't:' are reserved")
 
 
-def _extract_pddag(pattern: MeasurementPattern, flow: PauliFlowData,
+def _extract_pddag(pattern: MeasurementPattern, flow: PauliFlowData, masks: FlowMasks,
                    fsets: Optional[Sequence[FocussedSet]] = None,
                    extension_sets: Optional[Mapping[str, FrozenSet[str]]] = None) -> Pddag:
     """``extract_pddag`` of a flow already checked to be valid and focussed,
     with its Pauli vertices first (``paulis_first``), on a graph whose ids
-    ``_check_ids`` passed; the focussed sets and extension sets are still
-    checked here."""
+    ``_check_ids`` passed, given the masks of the flow's correction sets;
+    the focussed sets and extension sets are still checked here."""
     g = pattern.graph
-    if fsets is None:
-        fsets = focussed_set_generators(g)
-    else:
-        bad = [sorted(fs) for fs in fsets
-               if not g.vertices.issuperset(fs) or not verify_focussed(g, fs, g.measured)]
-        if bad:
-            raise ValueError(f"supplied focussed sets are not focussed: {bad}")
-    extension_sets = {u: frozenset(s) for u, s in (extension_sets or {}).items()}
-    for u, s in extension_sets.items():
+    bv = masks.bv
+    pauli_pi = bv.mask(pattern.pauli_pi_vertices())
+
+    def focussed(s) -> Optional[Tuple[int, int]]:
+        """(mask, odd mask) of a set of graph vertices focussed over the
+        measured vertices; None for any other set."""
+        if not g.vertices.issuperset(s):
+            return None
+        m = bv.mask(s)
+        odd = bv.odd(m)
+        return None if _unfocussed(bv, m, odd) else (m, odd)
+
+    free = [focussed(fs) for fs in (focussed_set_generators(g) if fsets is None else fsets)]
+    bad = [sorted(fs) for fs, f in zip(fsets or (), free) if f is None]
+    if bad:
+        raise ValueError(f"supplied focussed sets are not focussed: {bad}")
+    supplied = {}
+    for u, s in (extension_sets or {}).items():
         if u not in g.inputs:
             raise ValueError(f"extension set for {u!r}: not an input")
-        if not g.vertices.issuperset(s) or s & g.inputs != {u} \
-                or not verify_focussed(g, s, g.measured):
+        s = frozenset(s)
+        supplied[u] = s, focussed(s)
+        if supplied[u][1] is None or s & g.inputs != {u}:
             raise ValueError(f"extension set for {u!r}: not a focussed set holding "
                              f"{u!r} and no other input")
 
@@ -149,12 +179,14 @@ def _extract_pddag(pattern: MeasurementPattern, flow: PauliFlowData,
     nodes: List[Tuple[str, Rotation]] = []
     for v in flow.order.temporal_order(g.measured):
         if g.is_planar(v):
-            string = extraction_string(pattern, flow, v).string
+            string = _string(bv, pauli_pi, masks.p[v], masks.odd[v], v).string
             nodes.append((v, Rotation(-string if g.labels[v] == "YZ" else string,
                                       pattern.angles[v])))
     nodes += trailing_nodes(pattern.trailing)
 
-    # Tableau rows.
+    # Tableau rows.  By default an X row's set is {u} XOR the correction
+    # sets of the measured vertices {u} is not focussed over, and its odd
+    # neighbourhood adj[u] XOR theirs.
     z_rows: Dict[str, SignedPauliString] = {}
     x_rows: Dict[str, SignedPauliString] = {}
     corrections: Dict[str, FrozenSet[str]] = {}
@@ -162,24 +194,25 @@ def _extract_pddag(pattern: MeasurementPattern, flow: PauliFlowData,
         if u in g.outputs:
             z_rows[u] = single(u, "Z")
         else:
-            zs = extraction_string(pattern, flow, u)
+            zs = _string(bv, pauli_pi, masks.p[u], masks.odd[u], u)
             if zs.axis != "Z":
                 raise ValueError(f"input {u!r} does not give a Z extraction string")
             z_rows[u] = zs.string
-        if u in extension_sets:
-            corrections[u] = extension_sets[u]
+        if u in supplied:
+            corrections[u], (members, odd) = supplied[u]
         else:
-            corrections[u] = frozenset({u})
-            for w in unfocussed(g, {u}):
-                corrections[u] ^= flow.p[w]
-        x_rows[u] = extraction_string(pattern, corrections[u]).string
+            members, odd = bv.bit[u], bv.around(u)
+            for w in f2.bits(_unfocussed(bv, members, odd)):
+                members, odd = members ^ masks.p[bv.verts[w]], odd ^ masks.odd[bv.verts[w]]
+            corrections[u] = bv.unmask(members)
+        x_rows[u] = _string(bv, pauli_pi, members, odd).string
 
     tableau = IsometryTableau(
         inputs=tuple(sorted(g.inputs)),
         outputs=tuple(sorted(g.outputs)),
         z_rows=z_rows,
         x_rows=x_rows,
-        free_rows=tuple(extraction_string(pattern, fs).string for fs in fsets),
+        free_rows=tuple(_string(bv, pauli_pi, m, odd).string for m, odd in free),
         x_corrections=corrections,
     )
     return build_pddag(tableau, nodes)

@@ -19,12 +19,20 @@ successor bit masks over a vertex index.  Identification builds it from a
 depth map (depth counts from the outputs, so ``u`` before ``v`` iff
 ``d(u) > d(v)``), flow switching extends it by pairs.
 
+Verifying a flow builds its mask context (``FlowMasks``): p(v) and
+Odd(p(v)) of every measured vertex as masks over one ``BitView`` of the
+graph, one odd neighbourhood each.  The focus check, focussing, extraction
+and the rewrites read them instead of recomputing them; they are passed
+explicitly, never memoised, so they are read only for the graph and the
+correction sets they were built from.
+
 Focussing takes one pass.  The focus conditions FOC1-FOC3 are linear over
 GF(2), and a focussed correction set p(w) fails them only at w, so the
 focussed set reached from a start set is unique: the start set XOR the
 focussed sets of the measured vertices it is not focussed over.  For p(v)
 those vertices other than v come after v (PF1-PF3), so visiting the
-vertices latest first finds every set it needs already focussed.
+vertices latest first finds every set it needs already focussed.  Odd
+neighbourhoods are linear too, so the focussed sets' masks follow by XOR.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import f2
 from .graph import BitView, LabelledOpenGraph, PAULI_LABELS, PLANAR_LABELS
@@ -289,19 +297,35 @@ _PF_SELF = {
 }
 
 
+class FlowMasks(NamedTuple):
+    """Each measured vertex's correction set p(v) and its odd neighbourhood
+    Odd(p(v)), as masks over one view of the graph, built once per (graph,
+    flow) and passed explicitly to what reads that graph and flow."""
+
+    bv: BitView
+    p: Dict[str, int]
+    odd: Dict[str, int]
+
+
 def verify_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> List[Tuple[str, str]]:
-    """Return all (vertex, condition) violations of the nine flow conditions,
-    as mask tests over the order's listing followed by the graph vertices it
-    lacks: ``succ`` of u holds the vertices after u, ``free`` the others."""
+    """Return all (vertex, condition) violations of the nine flow conditions."""
+    return _verify(graph, flow)[0]
+
+
+def _verify(graph: LabelledOpenGraph, flow: PauliFlowData) -> Tuple[list, FlowMasks]:
+    """``verify_flow``'s violations and the flow's masks, as mask tests over
+    the order's listing followed by the graph vertices it lacks: ``succ`` of
+    u holds the vertices after u, ``free`` the others."""
     _check_shape(graph, flow)
     order = flow.order
     bv = BitView(graph, order.verts + tuple(sorted(graph.vertices - order.index.keys())))
+    masks = FlowMasks(bv, {}, {})
     lab = bv.label
     out: List[Tuple[str, str]] = []
     for u in sorted(graph.measured):
         ubit = bv.bit[u]
-        p = bv.mask(flow.p[u])
-        odd = bv.odd(p)
+        p = masks.p[u] = bv.mask(flow.p[u])
+        odd = masks.odd[u] = bv.odd(p)
         free = ~(ubit | (order.succ[order.index[u]] if u in order.index else 0))
         if p & free & ~(lab["X"] | lab["Y"]):
             out.append((u, "PF1"))
@@ -312,7 +336,7 @@ def verify_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> List[Tuple[str
         condition, allowed = _PF_SELF[graph.labels[u]]
         if (p & ubit != 0, odd & ubit != 0) not in allowed:
             out.append((u, condition))
-    return out
+    return out, masks
 
 
 # -- identification (maximally delayed) -----------------------------------
@@ -417,10 +441,11 @@ def find_pauli_flow(graph: LabelledOpenGraph) -> Optional[PauliFlowData]:
 # -- focussing -------------------------------------------------------------
 
 
-def _unfocussed(bv: BitView, members: int) -> int:
-    """Mask of the measured vertices the set is not focussed over (FOC1-FOC3)."""
+def _unfocussed(bv: BitView, members: int, odd: Optional[int] = None) -> int:
+    """Mask of the measured vertices the set is not focussed over (FOC1-FOC3),
+    given the set and, if known, its odd neighbourhood."""
     lab = bv.label
-    odd = bv.odd(members)
+    odd = bv.odd(members) if odd is None else odd
     return ((members & (lab["XZ"] | lab["YZ"] | lab["Z"])) | (odd & (lab["XY"] | lab["X"]))
             | ((members ^ odd) & lab["Y"]))
 
@@ -444,24 +469,37 @@ def focus_flow(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
     of the vertices w != v it is not focussed over, which PF1-PF3 put after
     v, so those sets are final (see the module docstring).
     """
-    bad = verify_flow(graph, flow)
+    bad, masks = _verify(graph, flow)
     if bad:
         raise ValueError(f"cannot focus an invalid flow: {bad}")
-    bv, index = graph.bit_view, flow.order.index
-    focussed: Dict[str, int] = {}  # vertex -> mask of its focussed set
+    return _focus(graph, flow, masks)[0]
+
+
+def _focus(graph: LabelledOpenGraph, flow: PauliFlowData,
+           masks: FlowMasks) -> Tuple[PauliFlowData, FlowMasks]:
+    """``focus_flow`` of a valid flow given its masks, and the focussed
+    flow's masks (an odd neighbourhood follows its set's XORs)."""
+    bv, index = masks.bv, flow.order.index
+    out = FlowMasks(bv, {}, {})
     # the order lists later vertices first; the vertices it lacks have no successors
     for v in sorted(graph.measured, key=lambda v: index.get(v, -1)):
-        members = bv.mask(flow.p[v])
-        for w in f2.bits(_unfocussed(bv, members) & ~bv.bit[v]):
-            members ^= focussed[bv.verts[w]]
-        focussed[v] = members
-    return PauliFlowData({v: bv.unmask(focussed[v]) for v in flow.p}, flow.order)
+        p, odd = masks.p[v], masks.odd[v]
+        for w in f2.bits(_unfocussed(bv, p, odd) & ~bv.bit[v]):
+            p, odd = p ^ out.p[bv.verts[w]], odd ^ out.odd[bv.verts[w]]
+        out.p[v], out.odd[v] = p, odd
+    return PauliFlowData({v: bv.unmask(out.p[v]) for v in flow.p}, flow.order), out
 
 
 def is_flow_focussed(graph: LabelledOpenGraph, flow: PauliFlowData) -> bool:
     bv = graph.bit_view
     return all(not _unfocussed(bv, bv.mask(flow.p[v])) & ~bv.bit[v]
                for v in graph.measured)
+
+
+def _focussed(masks: FlowMasks) -> bool:
+    """``is_flow_focussed`` read from the flow's masks."""
+    bv = masks.bv
+    return all(not _unfocussed(bv, p, masks.odd[v]) & ~bv.bit[v] for v, p in masks.p.items())
 
 
 # -- focussed set generators ------------------------------------------------

@@ -16,6 +16,7 @@ from operator import or_
 from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .f2 import bits
+from .pauli import angle_mod2
 
 PLANAR_LABELS = ("XY", "XZ", "YZ")
 PAULI_LABELS = ("X", "Y", "Z")
@@ -98,9 +99,6 @@ class LabelledOpenGraph:
         """Vertices adjacent to an odd number of members of the subset."""
         return self.bit_view.unmask(self.bit_view.odd(self.bit_view.mask(subset)))
 
-    def edges_inside(self, subset: Iterable[str]) -> int:
-        return self.bit_view.edges_inside(self.bit_view.mask(self.vertices.intersection(subset)))
-
     # -- structural operations (pure) -------------------------------------
 
     def local_complement(self, u: str) -> "LabelledOpenGraph":
@@ -173,8 +171,9 @@ class BitView:
             m ^= low
         return out
 
-    def edges_inside(self, m: int) -> int:
-        return sum((self.adj[i] & m).bit_count() for i in bits(m)) // 2
+    def around(self, v: str) -> int:
+        """Mask of v's neighbours."""
+        return self.adj[self.bit[v].bit_length() - 1]
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ class MeasurementPattern:
     trailing: Tuple[TrailingGate, ...] = ()
 
     def __post_init__(self):
-        norm = {v: Fraction(a) % 2 for v, a in self.angles.items()}
+        norm = {v: angle_mod2(a) for v, a in self.angles.items()}
         if set(norm) != set(self.graph.measured):
             raise ValueError("angles must be defined exactly on measured vertices")
         for v, a in norm.items():
@@ -208,7 +207,7 @@ class MeasurementPattern:
     def make(cls, vertices, edges, inputs, outputs, labels, angles,
              trailing=()) -> "MeasurementPattern":
         g = LabelledOpenGraph.make(vertices, edges, inputs, outputs, labels)
-        return cls(g, {v: Fraction(a) for v, a in angles.items()}, tuple(trailing))
+        return cls(g, dict(angles), tuple(trailing))
 
     def with_graph(self, graph: LabelledOpenGraph, angles=None, trailing=None) -> "MeasurementPattern":
         return MeasurementPattern(

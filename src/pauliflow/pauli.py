@@ -216,6 +216,11 @@ def parse_string(text: str) -> SignedPauliString:
 # -- rotations ----------------------------------------------------------
 
 
+def angle_mod2(a) -> Fraction:
+    """An angle in units of pi as a Fraction in [0, 2), not rebuilt if it is one."""
+    return a if type(a) is Fraction and 0 <= a.numerator < 2 * a.denominator else Fraction(a) % 2
+
+
 @dataclass(frozen=True)
 class Rotation:
     """``exp(i * angle/2 * string)`` up to global phase, with angle an exact
@@ -231,7 +236,7 @@ class Rotation:
     def __post_init__(self):
         if not self.string.is_hermitian():
             raise ValueError("rotation axis must have a +-1 phase")
-        object.__setattr__(self, "angle", Fraction(self.angle) % 2)
+        object.__setattr__(self, "angle", angle_mod2(self.angle))
 
     def is_clifford(self) -> bool:
         """True iff the angle is a multiple of pi/2."""

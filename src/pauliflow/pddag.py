@@ -115,22 +115,31 @@ class IsometryTableau:
             raise ValueError("free rows are dependent")
 
     def _check_commutation(self):
+        # rows as (X mask, Z mask) over the outputs, as ``commutes`` reads them
+        pos = {q: i for i, q in enumerate(self.outputs)}
+        z = {u: r.bits(pos) for u, r in self.z_rows.items()}
+        x = {u: r.bits(pos) for u, r in self.x_rows.items()}
+        free = [r.bits(pos) for r in self.free_rows]
+
+        def commute(a, b):
+            return not ((a[0] & b[1]).bit_count() + (a[1] & b[0]).bit_count()) & 1
+
         for u in self.inputs:
-            if commutes(self.z_rows[u], self.x_rows[u]):
+            if commute(z[u], x[u]):
                 raise ValueError(f"Z and X rows of input {u!r} must anticommute")
             for w in self.inputs:
                 if w == u:
                     continue
-                for a in (self.z_rows[u], self.x_rows[u]):
-                    for b in (self.z_rows[w], self.x_rows[w]):
-                        if not commutes(a, b):
+                for a in (z[u], x[u]):
+                    for b in (z[w], x[w]):
+                        if not commute(a, b):
                             raise ValueError(f"rows of inputs {u!r}, {w!r} must commute")
-        for i, r in enumerate(self.free_rows):
-            for s in self.free_rows[i + 1:]:
-                if not commutes(r, s):
+        for i, r in enumerate(free):
+            for s in free[i + 1:]:
+                if not commute(r, s):
                     raise ValueError("free rows must commute")
             for u in self.inputs:
-                if not commutes(r, self.z_rows[u]) or not commutes(r, self.x_rows[u]):
+                if not commute(r, z[u]) or not commute(r, x[u]):
                     raise ValueError("free rows must commute with input rows")
 
     def _symplectic(self, rows: Sequence[SignedPauliString]) -> List[int]:

@@ -10,20 +10,22 @@ node-for-node and row-for-row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .extract import (_check_ids, _extract_pddag, extract_pddag, extraction_string,
+from .extract import (_check_ids, _extract_pddag, _string, extract_pddag, extraction_string,
                       trailing_nodes)
 from .flow import (
+    FlowMasks,
+    FlowOrder,
     FocussedSet,
     PauliFlowData,
+    _focussed,
     _paulis_first,
-    is_flow_focussed,
+    _unfocussed,
+    _verify,
     switch_flow,
-    unfocussed,
-    verify_flow,
 )
-from .graph import LabelledOpenGraph, MeasurementPattern, TrailingGate
+from .graph import BitView, LabelledOpenGraph, MeasurementPattern, TrailingGate
 from .pauli import HALF, Rotation
 from .pddag import Pddag
 
@@ -41,20 +43,22 @@ class RewriteReport:
         return self.pddag_via_pattern.structurally_equal(self.pddag_via_simulation)
 
 
-def _require_focussed(pattern: MeasurementPattern, flow: PauliFlowData) -> None:
-    """The one check of a rewrite's input flow; ``_base_pddag`` relies on it."""
-    bad = verify_flow(pattern.graph, flow)
+def _require_focussed(pattern: MeasurementPattern, flow: PauliFlowData) -> FlowMasks:
+    """The one check of a rewrite's input flow; returns the flow's masks,
+    which ``_base_pddag`` and the rewrite's updates read."""
+    bad, masks = _verify(pattern.graph, flow)
     if bad:
         raise ValueError(f"flow is invalid: {bad}")
-    if not is_flow_focussed(pattern.graph, flow):
+    if not _focussed(masks):
         raise ValueError("rewrites need a focussed flow")
+    return masks
 
 
-def _base_pddag(pattern: MeasurementPattern, flow: PauliFlowData,
+def _base_pddag(pattern: MeasurementPattern, flow: PauliFlowData, masks: FlowMasks,
                 fsets: Sequence[FocussedSet]) -> Pddag:
     """The input's Pddag, extracted without checking its flow again."""
     _check_ids(pattern.graph)
-    return _extract_pddag(pattern, _paulis_first(pattern.graph, flow), fsets)
+    return _extract_pddag(pattern, _paulis_first(pattern.graph, flow), masks, fsets)
 
 
 def _pull_new_trailing(dag: Pddag, pattern: MeasurementPattern,
@@ -89,7 +93,7 @@ def relabel_pauli(pattern: MeasurementPattern, flow: PauliFlowData,
 
     Simulated by pushing u's rotation node into the stabilizer block.
     """
-    _require_focussed(pattern, flow)
+    masks = _require_focussed(pattern, flow)
     g = pattern.graph
     if not g.is_planar(u):
         raise ValueError(f"{u!r} is not planar")
@@ -101,15 +105,19 @@ def relabel_pauli(pattern: MeasurementPattern, flow: PauliFlowData,
     angles = dict(pattern.angles)
     angles[u] = update(alpha)
     pattern2 = pattern.with_graph(g.relabel(u, label), angles=angles)
+    bv = masks.bv
 
-    def shifted(s):
+    def shifted(s, m=None, odd=None):
         # a quarter turn adds p(u) to every set with u in it or its odd neighbourhood
-        return s ^ flow.p[u] if quarter and u in (s | g.odd_neighbourhood(s)) else s
+        if quarter and m is None:
+            m = bv.mask(s)
+            odd = bv.odd(m)
+        return s ^ flow.p[u] if quarter and (m | odd) & bv.bit[u] else s
 
-    flow2 = PauliFlowData({v: s if v == u else shifted(s) for v, s in flow.p.items()},
-                          flow.order)
-    fsets2 = tuple(shifted(fs) for fs in fsets)
-    base = _base_pddag(pattern, flow, fsets)
+    flow2 = PauliFlowData({v: s if v == u else shifted(s, masks.p[v], masks.odd[v])
+                           for v, s in flow.p.items()}, flow.order)
+    fsets2 = tuple(map(shifted, fsets))
+    base = _base_pddag(pattern, flow, masks, fsets)
     ext2 = {w: shifted(s) for w, s in base.tableau.x_corrections.items()}
     sim = base.push_clifford_front(u) if u in base.nodes else base
     return RewriteReport(
@@ -128,7 +136,7 @@ def eliminate_z(pattern: MeasurementPattern, flow: PauliFlowData,
     Simulated by pulling u's rotation into the tableau, a Z to the end of
     the circuit per output neighbour and a merge per XY neighbour.
     """
-    _require_focussed(pattern, flow)
+    masks = _require_focussed(pattern, flow)
     g = pattern.graph
     if g.labels.get(u) not in ("XZ", "YZ", "Z"):
         raise ValueError(f"{u!r} is not XZ/YZ/Z labelled")
@@ -157,7 +165,7 @@ def eliminate_z(pattern: MeasurementPattern, flow: PauliFlowData,
     flow2 = PauliFlowData(p, flow.order.restricted(pattern2.graph.vertices))
     fsets2 = tuple(fsets)
 
-    base = _base_pddag(pattern, flow, fsets)
+    base = _base_pddag(pattern, flow, masks, fsets)
     ext2 = dict(base.tableau.x_corrections)  # u never appears in them
     sim = base
     if g.is_planar(u) and u in sim.nodes:
@@ -208,11 +216,16 @@ _LC_CENTER_PULL = {
 }
 
 
-def _lc_updates(pattern: MeasurementPattern, flow: PauliFlowData,
-                fsets: Sequence[FocussedSet], u: str, direction: int,
-                ext: Optional[dict] = None):
+def _lc_step(sim: Pddag, order: FlowOrder, pattern: MeasurementPattern, masks: FlowMasks,
+             fsets: Sequence[Tuple[int, int]], ext: Dict[str, Tuple[int, int]],
+             u: str, direction: int):
+    """Locally complement the pattern about u, with its flow's masks and its
+    focussed and X-row sets as (set, odd neighbourhood) masks; returns them
+    rewritten, and sim with the quarter rotations pulled in."""
     g = pattern.graph
-    nbrs = g.neighbours(u)
+    bv, ubit = masks.bv, masks.bv.bit[u]
+    around = bv.around(u)
+    nbrs = bv.unmask(around)
     labels = dict(g.labels)
     angles = dict(pattern.angles)
     if u in g.measured:
@@ -234,44 +247,77 @@ def _lc_updates(pattern: MeasurementPattern, flow: PauliFlowData,
     # Flow and focussed-set updates, computed from the original graph in
     # emission order so referenced later sets are already rebuilt: a set
     # adds the new set of u (if planar) and of each XY neighbour of u that
-    # lies in it or in its odd neighbourhood.
-    sources = [w for w in nbrs | {u} if w in g.measured
+    # lies in it or in its odd neighbourhood.  Odd neighbourhoods in the
+    # original graph follow the same XORs.
+    sources = [(w, bv.bit[w]) for w in nbrs | {u} if w in g.measured
                and (g.is_planar(u) if w == u else g.labels[w] == "XY")]
+    p2: Dict[str, int] = {}
+    odd_g: Dict[str, int] = {}
 
-    def updated(members, skip=None):
-        members = frozenset(members)
-        odd = g.odd_neighbourhood(members)
-        new = members ^ {u} if u in odd else members
-        for w in sources:
-            if w != skip and (w in members or w in odd):
-                new = new ^ p2[w]
-        return new
+    def updated(m, odd, skip=None):
+        hit = m | odd
+        if odd & ubit:
+            m, odd = m ^ ubit, odd ^ around
+        for w, wbit in sources:
+            if w != skip and hit & wbit:
+                m, odd = m ^ p2[w], odd ^ odd_g[w]
+        return m, odd
 
-    p2: Dict[str, FrozenSet[str]] = {}
-    for v in flow.order.emission_order(g.measured):
-        p2[v] = updated(flow.p[v], skip=v)
-    fsets2 = [updated(fs) for fs in fsets]
+    def complemented(m, odd):
+        # LC toggles the edges among u's neighbours N, so in the new graph
+        # a set S has odd neighbourhood Odd(S) ^ (S & N), ^ N if |S & N| is odd
+        inside = m & around
+        return m, odd ^ inside ^ (around if inside.bit_count() & 1 else 0)
+
+    for v in order.emission_order(g.measured):
+        p2[v], odd_g[v] = updated(masks.p[v], masks.odd[v], skip=v)
+    masks2 = FlowMasks(BitView(graph2, bv.verts), p2,
+                       {v: complemented(m, odd_g[v])[1] for v, m in p2.items()})
     # the X-row sets follow the same update as the focussed sets: each is
     # the correction set of an input's extension vertex, which touches only
     # its input and so is never a neighbour of u
-    ext2 = {w: updated(s) for w, s in (ext or {}).items()}
-    flow2 = PauliFlowData(p2, flow.order)
-    return pattern2, flow2, tuple(fsets2), ext2
+    fsets2 = [complemented(*updated(m, odd)) for m, odd in fsets]
+    ext2 = {w: complemented(*updated(m, odd)) for w, (m, odd) in ext.items()}
 
-
-def _lc_sim(dag: Pddag, pattern: MeasurementPattern, flow: PauliFlowData,
-            pattern2: MeasurementPattern, flow2: PauliFlowData,
-            u: str, direction: int) -> Pddag:
-    g = pattern.graph
-    nbrs = g.neighbours(u)
-    dag = _pull_new_trailing(dag, pattern, pattern2)
-    for w in flow.order.emission_order(g.measured):
+    # the simulation pulls a quarter rotation into the node of u (if
+    # planar) and of each XY neighbour
+    sim = _pull_new_trailing(sim, pattern, pattern2)
+    pauli_pi = masks2.bv.mask(pattern2.pauli_pi_vertices())
+    for w in order.emission_order(g.measured):
         is_target = (w == u and g.is_planar(u)) or (w in nbrs and g.labels.get(w) == "XY")
-        if not is_target or w not in dag.nodes:
+        if not is_target or w not in sim.nodes:
             continue
         phi = _LC_CENTER_PULL[direction][g.labels[u]] if w == u else direction * HALF
-        dag = dag.pull_into(Rotation(extraction_string(pattern2, flow2, w).string, phi), w)
-    return dag
+        string = _string(masks2.bv, pauli_pi, p2[w], masks2.odd[w], w).string
+        sim = sim.pull_into(Rotation(string, phi), w)
+    return (pattern2, masks2, fsets2, ext2), sim
+
+
+def _lc_rewrite(pattern: MeasurementPattern, flow: PauliFlowData, masks: FlowMasks,
+                fsets: Sequence[FocussedSet], steps) -> RewriteReport:
+    """Local complementations about the (vertex, direction) steps in turn,
+    of a pattern whose flow has the masks."""
+    base = _base_pddag(pattern, flow, masks, fsets)
+    bv = masks.bv
+
+    def with_odd(s):
+        m = bv.mask(s)
+        return m, bv.odd(m)
+
+    state = (pattern, masks, [with_odd(fs) for fs in fsets],
+             {w: with_odd(s) for w, s in base.tableau.x_corrections.items()})
+    sim = base
+    for u, direction in steps:
+        state, sim = _lc_step(sim, flow.order, *state, u, direction)
+    pattern2, masks2, fsets2, ext2 = state
+    # every step keeps the vertices and their listing, so bv reads the masks
+    flow2 = PauliFlowData({v: bv.unmask(m) for v, m in masks2.p.items()}, flow.order)
+    fsets2 = tuple(bv.unmask(m) for m, _ in fsets2)
+    ext2 = {w: bv.unmask(m) for w, (m, _) in ext2.items()}
+    return RewriteReport(
+        pattern2, flow2, fsets2,
+        extract_pddag(pattern2, flow2, fsets2, extension_sets=ext2), sim,
+    )
 
 
 def local_complement_pattern(pattern: MeasurementPattern, flow: PauliFlowData,
@@ -279,43 +325,24 @@ def local_complement_pattern(pattern: MeasurementPattern, flow: PauliFlowData,
                              direction: int = 1) -> RewriteReport:
     """Locally complement about a non-input vertex, updating labels, angles,
     flow and focussed sets; simulated by pulling quarter rotations."""
-    _require_focussed(pattern, flow)
+    masks = _require_focussed(pattern, flow)
     if u in pattern.graph.inputs:
         raise ValueError(f"{u!r} is an input")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    base = _base_pddag(pattern, flow, fsets)
-    pattern2, flow2, fsets2, ext2 = _lc_updates(
-        pattern, flow, fsets, u, direction, ext=dict(base.tableau.x_corrections))
-    sim = _lc_sim(base, pattern, flow, pattern2, flow2, u, direction)
-    return RewriteReport(
-        pattern2, flow2, fsets2,
-        extract_pddag(pattern2, flow2, fsets2, extension_sets=ext2), sim,
-    )
+    return _lc_rewrite(pattern, flow, masks, fsets, [(u, direction)])
 
 
 def pivot_pattern(pattern: MeasurementPattern, flow: PauliFlowData,
                   fsets: Sequence[FocussedSet], u: str, v: str) -> RewriteReport:
     """Pivot about an edge as three alternating local complementations."""
-    _require_focussed(pattern, flow)
+    masks = _require_focussed(pattern, flow)
     g = pattern.graph
     if u in g.inputs or v in g.inputs:
         raise ValueError("pivot endpoints must not be inputs")
     if not g.adjacent(u, v):
         raise ValueError(f"{u!r} and {v!r} are not adjacent")
-    base = _base_pddag(pattern, flow, fsets)
-    sim = base
-    state = (pattern, flow, tuple(fsets), dict(base.tableau.x_corrections))
-    for vertex, direction in ((u, 1), (v, -1), (u, 1)):
-        pat, fl, fs, ext = state
-        pat2, fl2, fs2, ext2 = _lc_updates(pat, fl, fs, vertex, direction, ext=ext)
-        sim = _lc_sim(sim, pat, fl, pat2, fl2, vertex, direction)
-        state = (pat2, fl2, fs2, ext2)
-    pattern2, flow2, fsets2, ext2 = state
-    return RewriteReport(
-        pattern2, flow2, fsets2,
-        extract_pddag(pattern2, flow2, fsets2, extension_sets=ext2), sim,
-    )
+    return _lc_rewrite(pattern, flow, masks, fsets, [(u, 1), (v, -1), (u, 1)])
 
 
 # -- switching between focussed flows ----------------------------------------------
@@ -330,13 +357,15 @@ def switch_flow_rewrite(pattern: MeasurementPattern, flow: PauliFlowData,
     actions on the tableau rows whose derivation involved p(u): the Z row
     of u and the X row of each input w with {w} not focussed over u.
     """
-    _require_focussed(pattern, flow)
+    masks = _require_focussed(pattern, flow)
     g = pattern.graph
     flow2 = switch_flow(g, flow, u, fset)
-    base = _base_pddag(pattern, flow, fsets)
+    base = _base_pddag(pattern, flow, masks, fsets)
     sim = base
     stab = extraction_string(pattern, fset).string
-    involved = {w for w in g.inputs if u in unfocussed(g, {w})}
+    bv = masks.bv
+    involved = [w for w in sorted(g.inputs)
+                if _unfocussed(bv, bv.bit[w], bv.around(w)) & bv.bit[u]]
     ext2 = {w: s ^ frozenset(fset) if w in involved else s
             for w, s in base.tableau.x_corrections.items()}
     if not stab.is_identity_string():
@@ -345,7 +374,7 @@ def switch_flow_rewrite(pattern: MeasurementPattern, flow: PauliFlowData,
         tab = sim.tableau
         if u in g.inputs:
             tab = tab.multiply_input_by_string(u, "z", stab)
-        for w in sorted(involved):
+        for w in involved:
             tab = tab.multiply_input_by_string(w, "x", stab)
         sim = sim.with_tableau(tab)
     return RewriteReport(

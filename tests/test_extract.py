@@ -15,12 +15,13 @@ from pauliflow.extract import (
 )
 from pauliflow.flow import (
     PauliFlowData,
+    add_correction_sets,
     find_pauli_flow,
     focus_flow,
     focussed_set_generators,
     verify_flow,
 )
-from pauliflow.graph import LabelledOpenGraph, MeasurementPattern
+from pauliflow.graph import BitView, LabelledOpenGraph, MeasurementPattern
 from pauliflow.oracle import (
     DenseMap,
     circuit_semantics,
@@ -35,6 +36,7 @@ from tests.conftest import (
     worked_example_fset,
     random_circuit_pattern,
     random_flowful_pattern,
+    sized_circuit_pattern,
 )
 from tests.reference_extract import input_extend
 
@@ -387,3 +389,63 @@ def test_extract_rejects_extension_set_with_another_input():
     both = ext["i"] ^ ext["j"]  # focussed, but holds both inputs
     with pytest.raises(ValueError, match="^extension set for 'i': "):
         extract_pddag(pattern, extension_sets={"i": both})
+
+
+def test_extract_computes_each_odd_neighbourhood_once(monkeypatch):
+    """The flow's verification computes Odd(p(v)) once per measured vertex
+    (144 at this size); the focus check, the primary extraction strings and
+    the inputs' Z and X rows read those masks, so an extraction stays at
+    most 160 odd neighbourhoods (it took 432 when each recomputed them)."""
+    pattern = sized_circuit_pattern(160, 16, seed=160)
+    g = pattern.graph
+    flow = focus_flow(g, find_pauli_flow(g))
+    fsets = focussed_set_generators(g)
+    calls = []
+    odd = BitView.odd
+    monkeypatch.setattr(BitView, "odd", lambda bv, m: calls.append(1) or odd(bv, m))
+    extract_pddag(pattern, flow, fsets)
+    assert 0 < len(calls) <= 160
+
+
+def _corrected(**sets):
+    """The worked example's flow with the given correction sets (None drops one)."""
+    flow = worked_example_flow()
+    p = dict(flow.p)
+    for v, s in sets.items():
+        if s is None:
+            del p[v]
+        else:
+            p[v] = frozenset(s)
+    return PauliFlowData(p, flow.order)
+
+
+_NOT_EXTENSION = "ValueError: extension set for 'i': not a focussed set holding 'i' and no other input"
+
+
+@pytest.mark.parametrize("flow, fsets, ext, message", [
+    (_corrected(c={"o2"}), None, None,
+     "ValueError: supplied flow is invalid: [('c', 'PF1'), ('c', 'PF3'), ('c', 'PF4')]"),
+    (_corrected(c=None), None, None, "FlowFormatError: missing correction sets for ['c']"),
+    (_corrected(o1=()), None, None,
+     "FlowFormatError: correction sets on non-measured vertices ['o1']"),
+    (_corrected(a={"a", "c", "d", "o2", "i"}), None, None,
+     "FlowFormatError: correction set of 'a' contains inputs ['i']"),
+    (_corrected(a={"a", "c", "d", "o2", "zz"}), None, None,
+     "FlowFormatError: correction set of 'a' leaves the graph"),
+    (None, [{"o1"}, worked_example_fset(), {"zz", "o2"}], None,
+     "ValueError: supplied focussed sets are not focussed: [['o1'], ['o2', 'zz']]"),
+    (add_correction_sets(worked_example_flow(), "b", "c"), [{"o1"}], None,
+     "ValueError: supplied focussed sets are not focussed: [['o1']]"),
+    (None, None, {"zz": {"i"}}, "ValueError: extension set for 'zz': not an input"),
+    (None, None, {"i": {"zz"}}, _NOT_EXTENSION),
+    (None, None, {"i": set()}, _NOT_EXTENSION),
+    (None, None, {"i": {"b", "o2"}}, _NOT_EXTENSION),
+    (None, None, {"i": {"i"}}, _NOT_EXTENSION),
+])
+def test_extract_error_messages(flow, fsets, ext, message):
+    """Each flow, focus and extension-set error names its type and message
+    exactly as before the checks shared the flow's masks."""
+    with pytest.raises(ValueError) as info:
+        extract_pddag(worked_example(), flow or worked_example_flow(),
+                      fsets and [frozenset(fs) for fs in fsets], ext)
+    assert f"{type(info.value).__name__}: {info.value}" == message

@@ -9,8 +9,10 @@ sweep adds to {u} must be exactly the measured vertices {u} is not
 focussed over, the ones the library adds in one pass.  The families are
 random graphs whose inputs may also be outputs, with all six labels;
 circuit-shaped patterns with and without prepared wires, at random and
-fixed sizes; and the patterns after each of the five rewrites, extracted
-with the extension sets the rewrite supplies.
+fixed sizes; the patterns after each of the five rewrites, extracted
+with the extension sets the rewrite supplies; the patterns before each
+rewrite, extracted from the masks of the rewrite's check of its input
+flow; and unfocussed flows, focussed together with their masks.
 """
 
 import random
@@ -18,8 +20,11 @@ from fractions import Fraction
 
 import pytest
 
+from pauliflow import flow as flow_mod
+from pauliflow import rewrite
 from pauliflow.extract import extract_pddag
-from pauliflow.flow import find_pauli_flow, focus_flow, focussed_set_generators
+from pauliflow.flow import (add_correction_sets, find_pauli_flow, focus_flow,
+                            focussed_set_generators)
 from pauliflow.graph import ALL_LABELS, LabelledOpenGraph, MeasurementPattern, TrailingGate
 from tests import reference_extract as ref
 from tests import reference_flow
@@ -156,6 +161,61 @@ def test_rewrites_with_supplied_extension_sets():
             pattern, flow, fsets = report.pattern_after, report.flow_after, report.fsets_after
             supplied = report.pddag_via_pattern.tableau.x_corrections
             got, _ = assert_same_extraction(pattern, flow, fsets, supplied)
+            assert got.node_ids == report.pddag_via_pattern.node_ids
             assert got.nodes == report.pddag_via_pattern.nodes
+            assert got.tableau == report.pddag_via_pattern.tableau
             kinds[kind] += 1
     assert min(kinds.values()) >= 10, kinds
+
+
+def test_rewrite_inputs_extracted_from_their_masks():
+    """A rewrite extracts its input's Pddag from the masks its one check of
+    the input flow built (``rewrite._base_pddag``); along chains of every
+    rewrite kind that Pddag must equal the reference's, row for row."""
+    rng = random.Random(1306)
+    kinds = dict.fromkeys(("relabel", "zelim", "lc", "pivot", "switch"), 0)
+    for _ in range(60):
+        start = random_flowful_pattern(rng, max_vertices=8)[0]
+        g = start.graph
+        pattern, flow = start, focus_flow(g, find_pauli_flow(g))
+        fsets = focussed_set_generators(g)
+        for _ in range(5):
+            moves = _applicable(rng, pattern, flow, fsets)
+            if not moves or not pattern.graph.measured:
+                break
+            masks = rewrite._require_focussed(pattern, flow)
+            got = rewrite._base_pddag(pattern, flow, masks, fsets)
+            want, _ = ref.extract_pddag(pattern, flow, fsets)
+            assert (got.node_ids, got.nodes, got.tableau) == (want.node_ids, want.nodes,
+                                                              want.tableau)
+            kind, arg = moves[rng.randrange(len(moves))]
+            report = _apply(kind, arg, pattern, flow, fsets, rng)
+            pattern, flow, fsets = report.pattern_after, report.flow_after, report.fsets_after
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_unfocussed_flows():
+    """``extract_pddag`` focusses an unfocussed flow together with its masks
+    (an odd neighbourhood follows its set's XORs); the masks must be those
+    the focussed flow's own verification builds, and the Pddag the
+    reference's."""
+    rng = random.Random(1307)
+    checked = 0
+    while checked < 150:
+        pattern, flow = random_flowful_pattern(rng, max_vertices=9)
+        g = pattern.graph
+        pairs = [(u, v) for u in sorted(g.measured) for v in sorted(g.measured)
+                 if u != v and flow.order.precedes(u, v)]
+        if pairs:
+            flow = add_correction_sets(flow, *pairs[rng.randrange(len(pairs))])
+        bad, masks = flow_mod._verify(g, flow)
+        assert bad == []
+        if flow_mod._focussed(masks):
+            continue
+        focussed, derived = flow_mod._focus(g, flow, masks)
+        assert focussed == focus_flow(g, flow)
+        fresh = flow_mod._verify(g, focussed)[1]
+        assert (derived.bv.verts, derived.p, derived.odd) == (fresh.bv.verts, fresh.p, fresh.odd)
+        assert_same_extraction(pattern, flow)
+        checked += 1

@@ -1,6 +1,7 @@
 """Isometry tableaux, dependency DAGs, rewrites and circuit synthesis."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from pauliflow.oracle import (
     pddag_semantics,
     string_matrix,
 )
-from pauliflow.pauli import Rotation, SignedPauliString, from_letter_map, single
+from pauliflow.pauli import Rotation, SignedPauliString, commutes, from_letter_map, single
 from pauliflow.pddag import (
     Circuit,
     Gate,
@@ -43,6 +44,56 @@ def test_tableau_rejects_bad_free_count():
     with pytest.raises(ValueError):
         IsometryTableau(("i",), ("o",), {"i": single("o", "Z")},
                         {"i": single("o", "X")}, (single("o", "Z"),))
+
+
+def _reference_commutation_error(inputs, z_rows, x_rows, free_rows):
+    """The first commutation error of a tableau, in the order it checks its
+    rows, found with ``commutes`` on the strings themselves."""
+    for u in inputs:
+        if commutes(z_rows[u], x_rows[u]):
+            return f"Z and X rows of input {u!r} must anticommute"
+        for w in inputs:
+            if w != u and not all(commutes(a, b) for a in (z_rows[u], x_rows[u])
+                                  for b in (z_rows[w], x_rows[w])):
+                return f"rows of inputs {u!r}, {w!r} must commute"
+    for i, r in enumerate(free_rows):
+        if not all(commutes(r, s) for s in free_rows[i + 1:]):
+            return "free rows must commute"
+        if not all(commutes(r, z_rows[u]) and commutes(r, x_rows[u]) for u in inputs):
+            return "free rows must commute with input rows"
+    return None
+
+
+def test_tableau_commutation_checks_match_commutes():
+    """The tableau checks commutation on bit masks; on Clifford images with
+    a row swapped for a random string it must raise exactly the error the
+    same checks in the same order give with ``commutes``."""
+    rng = random.Random(2601)
+    seen = set()
+    for _ in range(600):
+        n = rng.randrange(1, 5)
+        z, x, _ = random_clifford_rows(rng, n)
+        inputs = "abcd"[:rng.randrange(0, n + 1)]
+        z_rows = dict(zip(inputs, z))
+        x_rows = dict(zip(inputs, x))
+        free = list(z[len(inputs):])
+        rows = [(z_rows, u) for u in inputs] + [(x_rows, u) for u in inputs]
+        rows += [(free, i) for i in range(len(free))]
+        if rows and rng.random() < 0.8:
+            table, key = rng.choice(rows)
+            table[key] = from_letter_map({q: rng.choice("XYZ") for q in range(n)
+                                          if rng.random() < 0.6}, rng.choice((1, -1)))
+        want = _reference_commutation_error(inputs, z_rows, x_rows, free)
+        try:
+            IsometryTableau(tuple(inputs), tuple(range(n)), z_rows, x_rows, tuple(free))
+            got = None
+        except ValueError as e:
+            got = str(e) if "commute" in str(e) else None
+        assert got == want
+        seen.add(want and re.sub(r"'[^']*'", "u", want))
+    assert seen == {None, "Z and X rows of input u must anticommute",
+                    "rows of inputs u, u must commute", "free rows must commute",
+                    "free rows must commute with input rows"}, seen
 
 
 def test_multiply_free_into_input_row():

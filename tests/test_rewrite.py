@@ -748,20 +748,68 @@ def test_rewrites_reject_an_unfocussed_input_flow(kind):
 
 @pytest.mark.parametrize("kind", sorted(REWRITES))
 def test_rewrites_check_each_flow_once(kind, monkeypatch):
-    """One verify_flow and one is_flow_focussed on the input flow (the
-    extraction of the input's Pddag does not repeat them) and one each on
-    the output flow, in the extraction of the rewritten pattern's Pddag."""
-    seen = {"verify_flow": [], "is_flow_focussed": []}
-    for name, flows in seen.items():
-        def counted(graph, flow, check=getattr(flow_mod, name), flows=flows):
-            flows.append(flow)
-            return check(graph, flow)
-        for module in (flow_mod, extract_mod, rewrite_mod):
+    """One verification (``flow._verify``, behind ``verify_flow``) and one
+    focus check (``flow._focussed``, behind ``is_flow_focussed``) on the
+    input flow (the extraction of the input's Pddag does not repeat them)
+    and one each on the output flow, in the extraction of the rewritten
+    pattern's Pddag.  Each focus check reads the masks that its flow's
+    verification built."""
+    verified, checked = [], []
+    verify, focussed = flow_mod._verify, flow_mod._focussed
+
+    def counted_verify(graph, flow):
+        out = verify(graph, flow)
+        verified.append((flow, out[1]))
+        return out
+
+    def counted_focussed(masks):
+        checked.append(masks)
+        return focussed(masks)
+
+    for module in (flow_mod, extract_mod, rewrite_mod):
+        for name, counted in (("_verify", counted_verify), ("_focussed", counted_focussed)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
     flow = worked_example_flow()
     report = REWRITES[kind](_all_rewrites_pattern(), flow, [worked_example_fset()])
     assert report.consistent
-    for flows in seen.values():
-        assert len(flows) == 2
-        assert flows[0] is flow and flows[1] is report.flow_after
+    assert len(verified) == 2
+    assert verified[0][0] is flow and verified[1][0] is report.flow_after
+    assert len(checked) == 2
+    assert checked[0] is verified[0][1] and checked[1] is verified[1][1]
+
+
+def test_local_complementation_keeps_masks_of_its_own_graph():
+    """``rewrite._lc_step`` rewrites the flow's masks with the graph: each
+    set by the XORs of its update, each odd neighbourhood by the same XORs
+    and then by the edges the complementation toggles.  The masks it hands
+    to the next step of a pivot and to the simulation's strings must be the
+    ones the new graph and flow would be verified with."""
+    rng = random.Random(1501)
+    steps = 0
+    for _ in range(60):
+        pattern, flow = random_flowful_pattern(rng, max_vertices=8)
+        g = pattern.graph
+        flow = focus_flow(g, flow)
+        fsets = focussed_set_generators(g)
+        masks = rewrite_mod._require_focussed(pattern, flow)
+        base = rewrite_mod._base_pddag(pattern, flow, masks, fsets)
+        bv = masks.bv
+        sets = [(bv.mask(fs), bv.odd(bv.mask(fs))) for fs in fsets]
+        state, sim = (pattern, masks, sets, {}), base
+        for _ in range(3):
+            candidates = sorted(g.vertices - g.inputs)
+            if not candidates:
+                break
+            u = rng.choice(candidates)
+            state, sim = rewrite_mod._lc_step(sim, flow.order, *state, u, rng.choice((1, -1)))
+            pattern2, masks2, sets2, _ = state
+            g2 = pattern2.graph
+            flow2 = PauliFlowData({v: bv.unmask(m) for v, m in masks2.p.items()}, flow.order)
+            fresh = flow_mod._verify(g2, flow2)[1]
+            assert masks2.bv.verts == fresh.bv.verts == bv.verts
+            assert masks2.bv.adj == fresh.bv.adj
+            assert (masks2.p, masks2.odd) == (fresh.p, fresh.odd)
+            assert all(odd == fresh.bv.odd(m) for m, odd in sets2)
+            steps += 1
+    assert steps >= 100

@@ -8,7 +8,7 @@ from tools.stage_table import LARGE_SIZES, SIZES, STAGES, growth_exponent, sizes
 def test_stage_times_names_every_stage():
     times = stage_times(20, repeats=1)
     assert tuple(times) == STAGES == ("find", "focus", "fsets", "extract", "hasse", "synth",
-                                      "emit", "doc", "verify", "lc")
+                                      "emit", "doc", "verify", "lc", "pivot")
     assert all(t > 0 for t in times.values())
 
 

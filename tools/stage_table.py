@@ -20,7 +20,9 @@ of 3, each stage on its own:
   order pair by pair (the document I/O of a rewrite chain);
 - verify: ``verify_flow`` of the focussed flow;
 - lc: ``local_complement_pattern`` at the first measured non-input vertex,
-  given the focussed flow and the sets.
+  given the focussed flow and the sets;
+- pivot: ``pivot_pattern`` about the first edge between measured non-input
+  vertices, given the focussed flow and the sets.
 
 It then prints each stage's growth exponent, the least-squares slope of
 log time against log n over 80 -> 320, and with ``--large`` also over
@@ -48,11 +50,11 @@ from pauliflow.extract import extract_pddag  # noqa: E402
 from pauliflow.flow import (  # noqa: E402
     find_pauli_flow, focus_flow, focussed_set_generators, switch_flow, verify_flow)
 from pauliflow.pddag import Pddag, synthesize  # noqa: E402
-from pauliflow.rewrite import local_complement_pattern  # noqa: E402
+from pauliflow.rewrite import local_complement_pattern, pivot_pattern  # noqa: E402
 from tests.conftest import sized_circuit_pattern, with_prepared_wires  # noqa: E402
 
 STAGES = ("find", "focus", "fsets", "extract", "hasse", "synth", "emit", "doc", "verify",
-          "lc")
+          "lc", "pivot")
 SIZES = (80, 160, 320)
 LARGE_SIZES = (640, 1280)
 
@@ -83,9 +85,12 @@ def stage_times(n: int, repeats: int = 3) -> Dict[str, float]:
         lambda: dumps(pddag_json(dag)) + dumps(circuit_json(circuit)), repeats)
     times["doc"], _ = _best(_document_io(pattern), repeats)
     times["verify"], _ = _best(lambda: verify_flow(g, focussed), repeats)
-    u = sorted(g.measured - g.inputs)[0]
+    inner = g.measured - g.inputs
+    u = sorted(inner)[0]
     times["lc"], _ = _best(
         lambda: local_complement_pattern(pattern, focussed, fsets, u, 1), repeats)
+    edge = next(e for e in sorted(g.edges) if inner.issuperset(e))
+    times["pivot"], _ = _best(lambda: pivot_pattern(pattern, focussed, fsets, *edge), repeats)
     return times
 
 
