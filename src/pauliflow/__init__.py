@@ -10,7 +10,6 @@ from .flow import (
     find_pauli_flow,
     focus_flow,
     focussed_set_generators,
-    paulis_first,
     switch_flow,
     verify_flow,
     verify_focussed,
@@ -31,7 +30,7 @@ __all__ = [
     "LabelledOpenGraph", "MeasurementPattern", "TrailingGate",
     "Rotation", "SignedPauliString", "commutes", "gate_to_exponentials", "multiply",
     "FlowOrder", "NoPauliFlowError", "PauliFlowData", "add_correction_sets",
-    "find_pauli_flow", "focus_flow", "focussed_set_generators", "paulis_first",
+    "find_pauli_flow", "focus_flow", "focussed_set_generators",
     "switch_flow", "verify_flow", "verify_focussed",
     "ExtractionString", "extract_circuit", "extract_pddag", "extraction_string", "primary_axis",
     "Circuit", "Gate", "IsometryTableau", "Pddag", "synthesize",

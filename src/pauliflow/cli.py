@@ -180,8 +180,8 @@ def parse_fsets(obj, graph: LabelledOpenGraph) -> List[frozenset]:
     return fsets
 
 
-def parse_flow(obj, path: str, vertices=()) -> flow_mod.PauliFlowData:
-    """Parse a flow; vertices the depth map leaves out sit at depth 0."""
+def parse_flow(obj, path: str, vertices) -> flow_mod.PauliFlowData:
+    """Parse a flow naming only the given vertices; those the depth map omits sit at 0."""
     _expect_keys(obj, ["p", "depth", "order"], ["p"], path)
     if ("depth" in obj) == ("order" in obj):
         raise SchemaError(path, "exactly one of depth/order required")
@@ -192,10 +192,13 @@ def parse_flow(obj, path: str, vertices=()) -> flow_mod.PauliFlowData:
         v: frozenset(_str_list(s, f"{path}/p/{v}"))
         for v, s in obj["p"].items()
     }
+    vset = frozenset(vertices)
     if "depth" in obj:
         for v, d in obj["depth"].items():
             if type(d) is not int or d < 0:
                 raise SchemaError(f"{path}/depth/{v}", "expected a non-negative integer")
+            if v not in vset:
+                raise SchemaError(f"{path}/depth/{v}", "not a vertex")
         order = flow_mod.FlowOrder.from_depth(obj["depth"], vertices)
     else:
         pairs = obj["order"]
@@ -204,6 +207,9 @@ def parse_flow(obj, path: str, vertices=()) -> flow_mod.PauliFlowData:
                 if not isinstance(pair, list) or len(pair) != 2 \
                         or not all(isinstance(x, str) for x in pair):
                     raise SchemaError(f"{path}/order/{i}", "expected a pair")
+        if not vset.issuperset(chain.from_iterable(pairs)):
+            i = next(i for i, pair in enumerate(pairs) if not vset.issuperset(pair))
+            raise SchemaError(f"{path}/order/{i}", "not a pair of vertices")
         order = flow_mod.FlowOrder.from_pairs(pairs)
     return flow_mod.PauliFlowData(p, order)
 

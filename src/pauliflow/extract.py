@@ -1,18 +1,20 @@
 """Ancilla-free circuit extraction: measurement pattern -> Pddag -> circuit.
 
 Each planar measurement contributes one rotation node whose string is the
-primary extraction string of its correction set, with an exact sign ledger:
-one flip per edge inside the set, one per Y pair, one per absorbed Pauli
-measurement at angle pi.  Tableau rows come from the inputs' extraction
-strings and the focussed-set generators.  An input u's X row is the
-stabilizer of the set {u} focussed over every measured vertex, u
-included: the correction set the paper gives a fresh XY vertex u' tied to
-u (its input extension).  u' touches only u and no correction set holds an
-input, so the focussed set, its odd neighbourhood and its sign ledger are
-the same in the pattern's own graph, where it is computed; the extended
-graph is never built.  Once the flow is focussed, that set is {u} XOR the
-correction sets of the measured vertices {u} is not focussed over (see
-``flow``).
+primary extraction string of its correction set, with an exact sign
+ledger: one flip per edge inside the set, one per Y pair, one per absorbed
+Pauli measurement at angle pi.  The nodes follow the flow's temporal order
+of the planar vertices: the paper measures the Pauli vertices first, which
+only drops pairs that end at a Pauli vertex, so it orders them alike.
+Tableau rows come from the inputs' extraction strings and the focussed-set
+generators.  An input u's X row is the stabilizer of the set {u} focussed
+over every measured vertex, u included: the correction set the paper gives
+a fresh XY vertex u' tied to u (its input extension).  u' touches only u
+and no correction set holds an input, so the focussed set, its odd
+neighbourhood and its sign ledger are the same in the pattern's own graph,
+where it is computed; the extended graph is never built.  Once the flow is
+focussed, that set is {u} XOR the correction sets of the measured vertices
+{u} is not focussed over (see ``flow``).
 
 Extraction reads the mask context that verifying the flow built
 (``flow.FlowMasks``): the primary strings and the inputs' Z rows take p(v)
@@ -36,7 +38,6 @@ from .flow import (
     PauliFlowData,
     _focus,
     _focussed,
-    _paulis_first,
     _unfocussed,
     _verify,
     find_pauli_flow_detailed,
@@ -130,7 +131,7 @@ def extract_pddag(pattern: MeasurementPattern, flow: Optional[PauliFlowData] = N
         raise ValueError(f"supplied flow is invalid: {bad}")
     if not _focussed(masks):  # one focus check per flow
         flow, masks = _focus(g, flow, masks)
-    return _extract_pddag(pattern, _paulis_first(g, flow), masks, fsets, extension_sets)
+    return _extract_pddag(pattern, flow, masks, fsets, extension_sets)
 
 
 def _check_ids(graph: LabelledOpenGraph) -> None:
@@ -142,9 +143,9 @@ def _extract_pddag(pattern: MeasurementPattern, flow: PauliFlowData, masks: Flow
                    fsets: Optional[Sequence[FocussedSet]] = None,
                    extension_sets: Optional[Mapping[str, FrozenSet[str]]] = None) -> Pddag:
     """``extract_pddag`` of a flow already checked to be valid and focussed,
-    with its Pauli vertices first (``paulis_first``), on a graph whose ids
-    ``_check_ids`` passed, given the masks of the flow's correction sets;
-    the focussed sets and extension sets are still checked here."""
+    on a graph whose ids ``_check_ids`` passed, given the masks of the
+    flow's correction sets; the focussed sets and extension sets are still
+    checked here."""
     g = pattern.graph
     bv = masks.bv
     pauli_pi = bv.mask(pattern.pauli_pi_vertices())
@@ -177,11 +178,10 @@ def _extract_pddag(pattern: MeasurementPattern, flow: PauliFlowData, masks: Flow
     # outputs) are kept: they are global phases, and rewrites may turn them
     # into real rotations and back.
     nodes: List[Tuple[str, Rotation]] = []
-    for v in flow.order.temporal_order(g.measured):
-        if g.is_planar(v):
-            string = _string(bv, pauli_pi, masks.p[v], masks.odd[v], v).string
-            nodes.append((v, Rotation(-string if g.labels[v] == "YZ" else string,
-                                      pattern.angles[v])))
+    for v in flow.order.temporal_order(v for v in g.measured if g.is_planar(v)):
+        string = _string(bv, pauli_pi, masks.p[v], masks.odd[v], v).string
+        nodes.append((v, Rotation(-string if g.labels[v] == "YZ" else string,
+                                  pattern.angles[v])))
     nodes += trailing_nodes(pattern.trailing)
 
     # Tableau rows.  By default an X row's set is {u} XOR the correction

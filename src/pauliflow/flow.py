@@ -17,7 +17,8 @@ returns, and the correction sets stay the same bit for bit.
 Every flow order is a ``FlowOrder``: a strict partial order held as closed
 successor bit masks over a vertex index.  Identification builds it from a
 depth map (depth counts from the outputs, so ``u`` before ``v`` iff
-``d(u) > d(v)``), flow switching extends it by pairs.
+``d(u) > d(v)``), flow switching extends it by pairs, Z-elimination
+restricts it and extraction reads it as it is (see ``extract``).
 
 Verifying a flow builds its mask context (``FlowMasks``): p(v) and
 Odd(p(v)) of every measured vertex as masks over one ``BitView`` of the
@@ -45,7 +46,7 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import f2
-from .graph import BitView, LabelledOpenGraph, PAULI_LABELS, PLANAR_LABELS
+from .graph import BitView, LabelledOpenGraph, PLANAR_LABELS
 
 
 class FlowFormatError(ValueError):
@@ -121,9 +122,6 @@ class FlowOrder:
         index = self.index
         return sum(1 << index[v] for v in set(vertices) if v in index)
 
-    def as_pairs(self, vertices: Iterable[str]) -> FrozenSet[Tuple[str, str]]:
-        return frozenset(map(tuple, self.pair_lists(vertices)))
-
     def pair_lists(self, vertices: Iterable[str]) -> List[List[str]]:
         """The (before, after) pairs among the vertices as sorted lists."""
         vertices = sorted(self.index.keys() & set(vertices))
@@ -136,16 +134,13 @@ class FlowOrder:
             out += [[a, b] for b in sorted(compress(self.verts, digits))]
         return out
 
-    def restricted(self, vertices: Iterable[str],
-                   targets: Optional[Iterable[str]] = None) -> "FlowOrder":
-        """This order on the given vertices; with targets, only the pairs
-        whose later vertex is a target (either way the result stays closed)."""
+    def restricted(self, vertices: Iterable[str]) -> "FlowOrder":
+        """This order on the given vertices (still closed)."""
         vertices = frozenset(vertices)
         sel = self._mask(vertices)
-        keep = sel if targets is None else sel & self._mask(targets)
-        succ = [s & keep if (sel >> i) & 1 else 0 for i, s in enumerate(self.succ)]
+        succ = [s & sel if (sel >> i) & 1 else 0 for i, s in enumerate(self.succ)]
         depth = None
-        if self.depth is not None and targets is None:
+        if self.depth is not None:
             depth = {v: d for v, d in self.depth.items() if v in vertices}
         return FlowOrder(self.verts, succ, depth)
 
@@ -158,9 +153,7 @@ class FlowOrder:
         fresh = sorted({v for pair in extra for v in pair} - self.index.keys())
         verts = self.verts + tuple(fresh)
         index = {v: i for i, v in enumerate(verts)}
-        sel = self._mask(vertices)
-        succ = [s & sel if (sel >> i) & 1 else 0 for i, s in enumerate(self.succ)]
-        succ += [0] * len(fresh)
+        succ = list(self.restricted(vertices).succ) + [0] * len(fresh)
         for a, b in extra:
             ia, ib = index[a], index[b]
             if (succ[ia] >> ib) & 1:
@@ -565,17 +558,3 @@ def switch_flow(graph: LabelledOpenGraph, flow: PauliFlowData, u: str,
         if graph.labels.get(w) in PLANAR_LABELS or w in graph.outputs
     }
     return PauliFlowData(p, flow.order.extended(graph.vertices, extra))
-
-
-def paulis_first(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
-    """Strip order entries into Pauli-labelled vertices (measure them first)."""
-    if not is_flow_focussed(graph, flow):
-        raise ValueError("paulis_first needs a focussed flow")
-    return _paulis_first(graph, flow)
-
-
-def _paulis_first(graph: LabelledOpenGraph, flow: PauliFlowData) -> PauliFlowData:
-    """``paulis_first`` of a flow already checked to be focussed."""
-    pauli = {v for v in graph.measured if graph.labels[v] in PAULI_LABELS}
-    order = flow.order.restricted(graph.vertices, targets=graph.vertices - pauli)
-    return PauliFlowData(dict(flow.p), order)

@@ -31,6 +31,12 @@ def edge(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def complemented_among(edges: FrozenSet[Edge], vertices: Iterable[str]) -> FrozenSet[Edge]:
+    """The edge set with the edges among the given vertices complemented."""
+    vs = sorted(vertices)
+    return edges ^ frozenset((a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
+
+
 @dataclass(frozen=True)
 class LabelledOpenGraph:
     vertices: FrozenSet[str]
@@ -103,9 +109,7 @@ class LabelledOpenGraph:
 
     def local_complement(self, u: str) -> "LabelledOpenGraph":
         """Complement the edges among u's neighbours; everything else fixed."""
-        nbrs = sorted(self.neighbours(u))
-        toggled = {edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:]}
-        return replace(self, edges=self.edges ^ frozenset(toggled))
+        return replace(self, edges=complemented_among(self.edges, self.neighbours(u)))
 
     def pivot(self, u: str, v: str) -> "LabelledOpenGraph":
         """G * u * v * u for adjacent u, v."""

@@ -247,15 +247,10 @@ class Pddag:
             closed[i], hasse[i] = reach, edges
         return tuple(closed), tuple(hasse)
 
-    def partial_order(self) -> FrozenSet[Tuple[str, str]]:
-        """Closure of the anticommutation-forced orderings."""
-        return _mask_pairs(self.node_ids, self._order_masks[0])
-
     def hasse(self) -> FrozenSet[Tuple[str, str]]:
-        return _mask_pairs(self.node_ids, self._order_masks[1])
-
-    def _ancestor_mask(self, i: int) -> int:
-        return sum(1 << k for k, m in enumerate(self._order_masks[0]) if (m >> i) & 1)
+        ids = self.node_ids
+        return frozenset((ids[i], ids[j]) for i, m in enumerate(self._order_masks[1])
+                         for j in f2.bits(m))
 
     def structurally_equal(self, other: "Pddag") -> bool:
         """Same tableau rows, same nodes per id, same canonical DAG."""
@@ -353,7 +348,7 @@ class Pddag:
         if not commutes(target.string, string):
             raise ValueError("stabilizer anticommutes with the node string")
         ids = self.node_ids
-        ancestors = self._ancestor_mask(i)
+        ancestors = sum(1 << k for k, m in enumerate(self._order_masks[0]) if (m >> i) & 1)
         blockers = [ids[a] for a in f2.bits(ancestors)
                     if not commutes(self.nodes[ids[a]].string, string)]
         if blockers:
@@ -383,10 +378,6 @@ def _merged_angle(a: Rotation, b: Rotation) -> Optional[Fraction]:
     if a.string == -b.string:
         return a.angle - b.angle
     return None
-
-
-def _mask_pairs(ids: Sequence[str], succ: Sequence[int]) -> FrozenSet[Tuple[str, str]]:
-    return frozenset((ids[i], ids[j]) for i, m in enumerate(succ) for j in f2.bits(m))
 
 
 def build_pddag(tableau: IsometryTableau, ordered_nodes: Sequence[Tuple[str, Rotation]]) -> Pddag:
@@ -439,7 +430,7 @@ def push_clifford_nodes(dag: Pddag) -> Pddag:
 
 
 def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], List[SignedPauliString]]:
-    """Wire-indexed Z/X conjugation targets for a full unitary tableau.
+    """Wire-indexed Z/X conjugation images for a full unitary tableau.
 
     Inputs occupy the first wires in sorted order; each free row becomes the
     Z image of a fresh wire and its X partner is completed over GF(2).

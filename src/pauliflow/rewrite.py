@@ -20,12 +20,12 @@ from .flow import (
     FocussedSet,
     PauliFlowData,
     _focussed,
-    _paulis_first,
     _unfocussed,
     _verify,
     switch_flow,
 )
-from .graph import BitView, LabelledOpenGraph, MeasurementPattern, TrailingGate
+from .graph import (BitView, LabelledOpenGraph, MeasurementPattern, TrailingGate,
+                    complemented_among)
 from .pauli import HALF, Rotation
 from .pddag import Pddag
 
@@ -58,7 +58,7 @@ def _base_pddag(pattern: MeasurementPattern, flow: PauliFlowData, masks: FlowMas
                 fsets: Sequence[FocussedSet]) -> Pddag:
     """The input's Pddag, extracted without checking its flow again."""
     _check_ids(pattern.graph)
-    return _extract_pddag(pattern, _paulis_first(pattern.graph, flow), masks, fsets)
+    return _extract_pddag(pattern, flow, masks, fsets)
 
 
 def _pull_new_trailing(dag: Pddag, pattern: MeasurementPattern,
@@ -235,7 +235,7 @@ def _lc_step(sim: Pddag, order: FlowOrder, pattern: MeasurementPattern, masks: F
         if w in g.measured:
             labels[w], angles[w] = _lc_measurement(
                 _LC_NEIGHBOUR, direction, g.labels[w], pattern.angles[w])
-    graph2 = LabelledOpenGraph(g.vertices, g.local_complement(u).edges,
+    graph2 = LabelledOpenGraph(g.vertices, complemented_among(g.edges, nbrs),
                                g.inputs, g.outputs, labels)
     out_nbrs = sorted(nbrs & g.outputs)
     new_gates = [TrailingGate(w, "RZ", -direction * HALF) for w in out_nbrs]

@@ -9,8 +9,9 @@ builds the extended graph, pattern and flow order, and the Pddag is built
 once and rebuilt with the trailing gates appended.
 
 Flow finding, flow focussing and the focussed-set generators are the
-library's; the X-row sweep and the extraction strings use the string-set
-code of ``reference_flow``.  The differential tests compare the library
+library's.  The Pauli-first order is built here from the flow's pairs,
+and the X-row sweep and the extraction strings use the string-set code
+of ``reference_flow``.  The differential tests compare the library
 against this module; nothing in ``src/`` imports it.
 """
 
@@ -18,13 +19,13 @@ from fractions import Fraction
 
 from pauliflow.extract import trailing_nodes
 from pauliflow.flow import (
+    FlowOrder,
     NoPauliFlowError,
     PauliFlowData,
     find_pauli_flow_detailed,
     focus_flow,
     focussed_set_generators,
     is_flow_focussed,
-    paulis_first,
     verify_flow,
 )
 from pauliflow.graph import LabelledOpenGraph, edge
@@ -55,6 +56,15 @@ def input_extend(graph, inputs):
         {**graph.labels, **dict.fromkeys(fresh, "XY")},
     )
     return g, ext
+
+
+def paulis_first(graph, flow):
+    """The flow with its Pauli vertices measured first, as the paper orders
+    it for extraction: its order keeps only the pairs whose later vertex is
+    not Pauli-labelled."""
+    pairs = [(a, b) for a, b in flow.order.pair_lists(graph.vertices)
+             if not graph.is_pauli(b)]
+    return PauliFlowData(dict(flow.p), FlowOrder.from_pairs(pairs))
 
 
 def extend_all_inputs(pattern, flow):

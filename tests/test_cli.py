@@ -169,8 +169,9 @@ def test_flow_focus_cli(tmp_path, capsys):
     from pauliflow.flow import is_flow_focussed
     from tests.conftest import worked_example
 
-    flow = parse_flow(focussed, "/flow")
-    assert is_flow_focussed(worked_example().graph, flow)
+    g = worked_example().graph
+    flow = parse_flow(focussed, "/flow", sorted(g.vertices))
+    assert is_flow_focussed(g, flow)
 
 
 def test_fsets_cli(tmp_path, capsys):
@@ -321,15 +322,24 @@ def _depth_list(flow):
     flow["depth"] = [1, 2]
 
 
+def _depth_non_vertex(flow):
+    del flow["order"]
+    flow["depth"] = {"a": 1, "zzz": 7}
+
+
 @pytest.mark.parametrize("mutate, path", [
     (_depth_list, "/flow/depth"),
     (lambda flow: flow.update(p=["a"]), "/flow/p"),
     (lambda flow: flow.update(order=5), "/flow/order"),
     (lambda flow: flow["p"].update(a=["zz"]), "/flow"),
     (lambda flow: flow["order"].append(["o1", "i"]), "/flow"),
-], ids=["depth-list", "p-list", "order-int", "p-names-non-vertex", "cyclic-order"])
+    (_depth_non_vertex, "/flow/depth/zzz"),
+    (lambda flow: flow["order"].append(["zzz", "yyy"]), "/flow/order/13"),
+], ids=["depth-list", "p-list", "order-int", "p-names-non-vertex", "cyclic-order",
+        "depth-names-non-vertex", "order-names-non-vertex"])
 def test_malformed_flow_exit_2(tmp_path, capsys, mutate, path):
-    # each of these used to end in a traceback or in exit 1 "value"
+    # each of these used to end in a traceback, in exit 1 "value" or, for
+    # the non-vertices in the depth map or order, in exit 0
     doc = worked_doc()
     mutate(doc["flow"])
     assert schema_error_path(capsys, "flow", "verify", write(tmp_path, "p.json", doc)) == path

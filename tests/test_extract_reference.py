@@ -12,7 +12,12 @@ circuit-shaped patterns with and without prepared wires, at random and
 fixed sizes; the patterns after each of the five rewrites, extracted
 with the extension sets the rewrite supplies; the patterns before each
 rewrite, extracted from the masks of the rewrite's check of its input
-flow; and unfocussed flows, focussed together with their masks.
+flow; and unfocussed flows, focussed together with their masks.  The
+library orders the nodes by the focussed flow's own order; the reference
+builds the paper's Pauli-first order, and the planar vertices must come
+out in the same order on random patterns, their switched and refocussed
+flows, pair-form re-parses of all of them, and circuit-shaped patterns
+up to 320 vertices.
 """
 
 import random
@@ -22,9 +27,10 @@ import pytest
 
 from pauliflow import flow as flow_mod
 from pauliflow import rewrite
+from pauliflow.cli import flow_json, parse_flow
 from pauliflow.extract import extract_pddag
 from pauliflow.flow import (add_correction_sets, find_pauli_flow, focus_flow,
-                            focussed_set_generators)
+                            focussed_set_generators, switch_flow)
 from pauliflow.graph import ALL_LABELS, LabelledOpenGraph, MeasurementPattern, TrailingGate
 from tests import reference_extract as ref
 from tests import reference_flow
@@ -36,6 +42,7 @@ from tests.conftest import (
     with_prepared_wires,
     worked_example,
 )
+from tests.test_order_reference import with_prepared_wire
 from tests.test_rewrite_chains import _applicable, _apply
 
 
@@ -219,3 +226,63 @@ def test_unfocussed_flows():
         assert (derived.bv.verts, derived.p, derived.odd) == (fresh.bv.verts, fresh.p, fresh.odd)
         assert_same_extraction(pattern, flow)
         checked += 1
+
+
+def flow_variants(rng, g, flow, fsets, switches):
+    """The focussed flow; its switches by each focussed set at up to
+    ``switches`` vertices; one sum of correction sets, refocussed; and each
+    of these re-parsed from a document listing its order as pairs."""
+    flows = [focus_flow(g, flow)]
+    for fs in fsets:
+        done = 0
+        for u in sorted(g.measured):
+            if done == switches:
+                break
+            try:
+                flows.append(focus_flow(g, switch_flow(g, flows[0], u, fs)))
+            except ValueError:
+                continue
+            done += 1
+    pairs = [(u, v) for u in sorted(g.measured) for v in sorted(g.measured)
+             if u != v and flow.order.precedes(u, v)]
+    if pairs:
+        summed = add_correction_sets(flows[0], *pairs[rng.randrange(len(pairs))])
+        flows.append(focus_flow(g, summed))
+    for f in list(flows):
+        doc = {"p": flow_json(f, g)["p"], "order": f.order.pair_lists(g.vertices)}
+        flows.append(parse_flow(doc, "/flow", sorted(g.vertices)))
+    return flows
+
+
+def assert_paulis_first_node_order(pattern, flow, fsets):
+    """The library's rotation nodes follow the temporal order of the
+    reference's Pauli-first flow, filtered to the planar vertices."""
+    g = pattern.graph
+    dag = extract_pddag(pattern, flow, fsets)
+    order = ref.paulis_first(g, flow).order
+    want = [v for v in order.temporal_order(g.measured) if g.is_planar(v)]
+    assert [nid for nid in dag.node_ids if not nid.startswith("t:")] == want
+
+
+def test_node_order_is_the_paulis_first_order():
+    rng = random.Random(1308)
+    flows = 0
+    for _ in range(150):
+        pattern, flow = random_flowful_pattern(rng, max_vertices=9)
+        g = pattern.graph
+        fsets = focussed_set_generators(g)
+        for f in flow_variants(rng, g, flow, fsets, switches=2):
+            assert_paulis_first_node_order(pattern, f, fsets)
+            flows += 1
+    assert flows >= 1000
+
+
+@pytest.mark.parametrize("n", [40, 80, 160, 320])
+def test_sized_node_order_is_the_paulis_first_order(n):
+    pattern = with_prepared_wire(sized_circuit_pattern(n, n // 10, seed=n))
+    g = pattern.graph
+    fsets = focussed_set_generators(g)
+    flows = flow_variants(random.Random(n), g, find_pauli_flow(g), fsets, switches=1)
+    assert len(flows) == 6
+    for f in flows:
+        assert_paulis_first_node_order(pattern, f, fsets)

@@ -16,7 +16,6 @@ from pauliflow.flow import (
     focus_flow,
     focussed_set_generators,
     is_flow_focussed,
-    paulis_first,
     switch_flow,
     verify_flow,
     verify_focussed,
@@ -114,7 +113,7 @@ def test_find_worked_example_maximally_delayed(worked_pattern, worked_flow):
     assert flow is not None and verify_flow(g, flow) == []
     found = delay_profile_from_depth(g.vertices, flow.order.depth)
     table = delay_profile_from_pairs(
-        sorted(g.vertices), worked_flow.order.as_pairs(g.vertices))
+        sorted(g.vertices), worked_flow.order.pair_lists(g.vertices))
     assert dominates(found, table)
 
 
@@ -359,34 +358,6 @@ def test_switch_flow_blocked(worked_pattern, worked_flow):
     # switching at c is blocked: c itself is planar and inside the fset
     with pytest.raises(ValueError):
         switch_flow(worked_pattern.graph, worked_flow, "c", worked_example_fset())
-
-
-def test_paulis_first(worked_pattern, worked_flow):
-    g = worked_pattern.graph
-    stripped = paulis_first(g, worked_flow)
-    assert verify_flow(g, stripped) == []
-    assert not any(b == "d" for _, b in stripped.order.as_pairs(g.vertices))
-    # entries from d survive
-    assert stripped.order.precedes("d", "o2")
-
-
-def test_paulis_first_no_paulis():
-    g = LabelledOpenGraph.make(
-        ["i", "m", "o"], [("i", "m"), ("m", "o")], ["i"], ["o"], {"i": "XY", "m": "XY"})
-    flow = focus_flow(g, find_pauli_flow(g))
-    stripped = paulis_first(g, flow)
-    assert stripped.order.as_pairs(g.vertices) == flow.order.as_pairs(g.vertices)
-
-
-def test_paulis_first_all_pauli():
-    g = LabelledOpenGraph.make(
-        ["m", "n", "o"], [("m", "o"), ("n", "o"), ("m", "n")], [], ["o"],
-        {"m": "X", "n": "Y"})
-    flow = find_pauli_flow(g)
-    assert flow is not None
-    stripped = paulis_first(g, focus_flow(g, flow))
-    # no ordering remains between measured vertices (only into outputs)
-    assert stripped.order.as_pairs(g.measured) == frozenset()
 
 
 def test_even_overlap_invariant():

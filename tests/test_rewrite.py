@@ -13,6 +13,7 @@ import pytest
 
 from pauliflow import extract as extract_mod
 from pauliflow import flow as flow_mod
+from pauliflow import graph as graph_mod
 from pauliflow import rewrite as rewrite_mod
 from pauliflow.extract import extract_pddag, extraction_string
 from pauliflow.flow import (
@@ -40,6 +41,7 @@ from tests.conftest import (
     worked_example_flow,
     worked_example_fset,
     random_flowful_pattern,
+    sized_circuit_pattern,
 )
 
 F = Fraction
@@ -813,3 +815,32 @@ def test_local_complementation_keeps_masks_of_its_own_graph():
             assert all(odd == fresh.bv.odd(m) for m, odd in sets2)
             steps += 1
     assert steps >= 100
+
+
+def test_pivot_builds_each_graph_and_view_once(monkeypatch):
+    """A pivot builds five ``BitView``s (the input flow's, one per
+    complemented graph, the output flow's) and validates three graphs (one
+    per complemented graph): each step toggles the edges among u's
+    neighbours as the masks' view gives them and builds its graph once."""
+    pattern = sized_circuit_pattern(80, 8, seed=80)
+    g = pattern.graph
+    flow = focus_flow(g, find_pauli_flow(g))
+    fsets = focussed_set_generators(g)
+    inner = g.measured - g.inputs
+    u, v = next(e for e in sorted(g.edges) if inner.issuperset(e))
+    built = {"views": 0, "graphs": 0}
+    view_init, graph_check = graph_mod.BitView.__init__, graph_mod.LabelledOpenGraph.__post_init__
+
+    def counted_view(self, *args):
+        built["views"] += 1
+        view_init(self, *args)
+
+    def counted_graph(self):
+        built["graphs"] += 1
+        graph_check(self)
+
+    monkeypatch.setattr(graph_mod.BitView, "__init__", counted_view)
+    monkeypatch.setattr(graph_mod.LabelledOpenGraph, "__post_init__", counted_graph)
+    report = pivot_pattern(pattern, flow, fsets, u, v)
+    assert built == {"views": 5, "graphs": 3}
+    assert report.consistent
