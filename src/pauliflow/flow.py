@@ -147,23 +147,16 @@ class FlowOrder:
     def extended(self, vertices: Iterable[str], extra: Iterable[Tuple[str, str]]) -> "FlowOrder":
         """This order on the given vertices plus the extra pairs, closed: a
         pair (a, b) puts everything up to a before everything from b on.
-        New vertices are listed last; if a pair runs against the listing,
-        the vertices are relisted."""
+        New vertices are listed last; each pair is one more successor bit,
+        and ``_close`` relists the vertices if a pair runs against the
+        listing and rejects a cycle."""
         extra = list(extra)
         fresh = sorted({v for pair in extra for v in pair} - self.index.keys())
         verts = self.verts + tuple(fresh)
         index = {v: i for i, v in enumerate(verts)}
         succ = list(self.restricted(vertices).succ) + [0] * len(fresh)
         for a, b in extra:
-            ia, ib = index[a], index[b]
-            if (succ[ia] >> ib) & 1:
-                continue
-            if ia == ib or (succ[ib] >> ia) & 1:
-                raise FlowFormatError(f"order has a cycle through {a!r}")
-            reach = succ[ib] | (1 << ib)
-            for x, s in enumerate(succ):
-                if x == ia or (s >> ia) & 1:
-                    succ[x] = s | reach
+            succ[index[a]] |= 1 << index[b]
         return FlowOrder(*_close(verts, succ))
 
     def emission_order(self, vertices: Iterable[str]) -> List[str]:
@@ -484,6 +477,7 @@ def _focus(graph: LabelledOpenGraph, flow: PauliFlowData,
 
 
 def is_flow_focussed(graph: LabelledOpenGraph, flow: PauliFlowData) -> bool:
+    _check_shape(graph, flow)
     bv = graph.bit_view
     return all(not _unfocussed(bv, bv.mask(flow.p[v])) & ~bv.bit[v]
                for v in graph.measured)

@@ -13,22 +13,25 @@ existing one; a pull of (A, t) is a push of its inverse (A, -t)) and
 stabilizer rewrites; the paper's Fig. 2 example also reads a unitary
 circuit, pushes all its Clifford nodes and merges nodes.
 
-Synthesis completes the isometry tableau to a unitary one (each free row
-is the Z image of a fresh |0> wire, its X partner solved over GF(2)) and
-reduces it wire by wire to the identity with H, S, CX, X and Z.  The
-tableau being reduced is column-packed, as in Aaronson & Gottesman,
-*Improved simulation of stabilizer circuits* (2004): one int per wire for
-the X column and one for the Z column over all 2n rows, plus one int of
-signs, so each reducing gate updates every row in a few big-int operations
-(the rules are listed on ``clifford_circuit_from_rows``).  The circuit is
-the reduction reversed, followed by one rotation per node.
+Every part reads a Pauli string as one ``[x | z]`` int (``_packed``):
+output ``outputs[i]`` carries X at bit i and Z at bit n + i, and two rows
+anticommute iff one has odd overlap with the other's ``[z | x]`` swap.  The
+tableau packs its rows once; its checks, free-group membership, the node
+order and the completion read those ints.
+
+Synthesis completes the tableau to a unitary one (each free row is the Z
+image of a fresh |0> wire, its X partner solved over GF(2)), column-packs
+it (one int per wire for the X and for the Z column over all 2n rows, as in
+Aaronson & Gottesman, *Improved simulation of stabilizer circuits*, 2004)
+and reduces it wire by wire to the identity with H, S, CX, X and Z.  The
+circuit is the reduction reversed, followed by one rotation per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import f2
@@ -71,6 +74,22 @@ class Circuit:
         return tuple(g.qubits[0] for g in self.gates if g.name == "INIT0")
 
 
+# -- packed rows ----------------------------------------------------------------
+
+
+def _packed(strings: Sequence[SignedPauliString], qubits: Sequence) -> Tuple[List[int], int]:
+    """Hermitian strings as [x | z] ints (qubits[i] carries X at bit i and Z
+    at bit n + i) and a mask of the strings with sign -1."""
+    pos = {q: i for i, q in enumerate(qubits)}
+    rows = [x | z << len(qubits) for x, z in (s.bits(pos) for s in strings)]
+    return rows, sum(1 << i for i, s in enumerate(strings) if s.sign == -1)
+
+
+def _swapped(row: int, n: int) -> int:
+    """A packed row as [z | x], the coefficients of its symplectic product."""
+    return row >> n | (row & ((1 << n) - 1)) << n
+
+
 # -- isometry tableau ---------------------------------------------------------
 
 
@@ -111,55 +130,40 @@ class IsometryTableau:
         for row in list(self.z_rows.values()) + list(self.x_rows.values()) + list(self.free_rows):
             _check_row(row, outs)
         self._check_commutation()
-        if self.free_rows and f2.rank(self._symplectic([r.unsigned() for r in self.free_rows])) != len(self.free_rows):
+        m, n = len(self.inputs), len(self.outputs)
+        if f2.rank(self._rows[0][m:n]) != n - m:
             raise ValueError("free rows are dependent")
 
+    @cached_property
+    def _rows(self) -> Tuple[List[int], int]:
+        """The Z rows, free rows and X rows, packed, and their sign mask: row
+        i < n is the Z image of wire i and row n + i < n + m the X image
+        (output i is wire i, input i of m sorted inputs is wire i)."""
+        return _packed([*map(self.z_rows.get, self.inputs), *self.free_rows,
+                        *map(self.x_rows.get, self.inputs)], self.outputs)
+
     def _check_commutation(self):
-        # rows as (X mask, Z mask) over the outputs, as ``commutes`` reads them
-        pos = {q: i for i, q in enumerate(self.outputs)}
-        z = {u: r.bits(pos) for u, r in self.z_rows.items()}
-        x = {u: r.bits(pos) for u, r in self.x_rows.items()}
-        free = [r.bits(pos) for r in self.free_rows]
-
-        def commute(a, b):
-            return not ((a[0] & b[1]).bit_count() + (a[1] & b[0]).bit_count()) & 1
-
-        for u in self.inputs:
-            if commute(z[u], x[u]):
+        # bit l of anti[k] is set iff rows k and l anticommute: Z row i must
+        # pair with X row n + i alone and a free row with no row
+        m, n = len(self.inputs), len(self.outputs)
+        rows, free = self._rows[0], (1 << n) - (1 << m)
+        swapped = [_swapped(r, n) for r in rows]
+        anti = [sum(1 << l for l, s in enumerate(swapped) if (r & s).bit_count() & 1) for r in rows]
+        for i, u in enumerate(self.inputs):
+            if not anti[i] >> (n + i) & 1:
                 raise ValueError(f"Z and X rows of input {u!r} must anticommute")
-            for w in self.inputs:
-                if w == u:
-                    continue
-                for a in (z[u], x[u]):
-                    for b in (z[w], x[w]):
-                        if not commute(a, b):
-                            raise ValueError(f"rows of inputs {u!r}, {w!r} must commute")
-        for i, r in enumerate(free):
-            for s in free[i + 1:]:
-                if not commute(r, s):
-                    raise ValueError("free rows must commute")
-            for u in self.inputs:
-                if not commute(r, z[u]) or not commute(r, x[u]):
-                    raise ValueError("free rows must commute with input rows")
-
-    def _symplectic(self, rows: Sequence[SignedPauliString]) -> List[int]:
-        """Rows as [x | z] bits over the outputs: X at bit i, Z at bit n + i."""
-        n = len(self.outputs)
-        pos = {q: i for i, q in enumerate(self.outputs)}
-        packed = []
-        for r in rows:
-            x, z = r.bits(pos)
-            packed.append(x | z << n)
-        return packed
+            bad = (anti[i] | anti[n + i]) & ~(free | 1 << i | 1 << (n + i))
+            if bad:  # the lowest bit of bad | bad >> n is the first input w
+                w = self.inputs[next(f2.bits(bad | bad >> n))]
+                raise ValueError(f"rows of inputs {u!r}, {w!r} must commute")
+        for mask in anti[m:n]:
+            if mask & free:
+                raise ValueError("free rows must commute")
+            if mask:
+                raise ValueError("free rows must commute with input rows")
 
     def rows_equal(self, other: "IsometryTableau") -> bool:
-        return (
-            self.inputs == other.inputs
-            and self.outputs == other.outputs
-            and dict(self.z_rows) == dict(other.z_rows)
-            and dict(self.x_rows) == dict(other.x_rows)
-            and self.free_rows == other.free_rows
-        )
+        return (self.inputs, self.outputs, self._rows) == (other.inputs, other.outputs, other._rows)
 
     # -- free actions -----------------------------------------------------
 
@@ -180,14 +184,12 @@ class IsometryTableau:
         """Indices of free rows whose exact signed product equals the string."""
         if not string.is_hermitian() or not string.support <= set(self.outputs):
             return None
-        rows = self._symplectic([r.unsigned() for r in self.free_rows])
-        combo = f2.in_span(rows, self._symplectic([string.unsigned()])[0])
+        free = self._rows[0][len(self.inputs):len(self.outputs)]
+        combo = f2.in_span(free, _packed([string], self.outputs)[0][0])
         if combo is None:
             return None
-        idx = tuple(i for i in range(len(self.free_rows)) if combo & (1 << i))
-        prod = identity_string()
-        for i in idx:
-            prod = multiply(prod, self.free_rows[i])
+        idx = tuple(f2.bits(combo))
+        prod = reduce(multiply, (self.free_rows[i] for i in idx), identity_string())
         return idx if prod == string else None
 
     def conjugated(self, mover: Rotation) -> "IsometryTableau":
@@ -229,15 +231,14 @@ class Pddag:
         built from the latest node back, taking its anticommuting successors
         in list order; a successor not yet reached is exactly a Hasse edge.
         """
-        pos = {q: k for k, q in enumerate(self.tableau.outputs)}
-        xz = [self.nodes[nid].string.bits(pos) for nid in self.node_ids]
-        n = len(xz)
+        rows, _ = _packed([self.nodes[nid].string for nid in self.node_ids], self.tableau.outputs)
+        swapped = [_swapped(r, len(self.tableau.outputs)) for r in rows]
+        n = len(rows)
         closed = [0] * n
         hasse = [0] * n
         for i in range(n - 1, -1, -1):
-            xi, zi = xz[i]
-            todo = sum(1 << j for j in range(i + 1, n)
-                       if ((xi & xz[j][1]) ^ (zi & xz[j][0])).bit_count() & 1)
+            ri = rows[i]
+            todo = sum(1 << j for j in range(i + 1, n) if (ri & swapped[j]).bit_count() & 1)
             reach = edges = 0
             while todo:
                 low = todo & -todo
@@ -429,38 +430,31 @@ def push_clifford_nodes(dag: Pddag) -> Pddag:
         dag = dag.push_clifford_front(nid)
 
 
-def _complete_tableau(tab: IsometryTableau) -> Tuple[List[SignedPauliString], List[SignedPauliString]]:
-    """Wire-indexed Z/X conjugation images for a full unitary tableau.
+def _complete_tableau(tab: IsometryTableau) -> Tuple[List[int], int]:
+    """Packed Z/X images of wires 0..n-1 (output i is wire i) for a full
+    unitary tableau, and their sign mask: the tableau's ``_rows`` with the
+    X partner of each free row appended.
 
-    Inputs occupy the first wires in sorted order; each free row becomes the
-    Z image of a fresh wire and its X partner is completed over GF(2).
+    A partner anticommutes with its free row alone among the rows and the
+    partners found before it.  One system grows by each partner:
+    ``f2.solve`` returns the solution on the pivot columns, which the set of
+    equations fixes, so a fresh system per partner (listing some rows
+    twice) would give the same partners.
     """
-    n = len(tab.outputs)
-    wire = {q: i for i, q in enumerate(tab.outputs)}
-    z_out = [tab.z_rows[u].relabelled(wire) for u in tab.inputs]
-    x_out = [tab.x_rows[u].relabelled(wire) for u in tab.inputs]
-    free = [r.relabelled(wire) for r in tab.free_rows]
-
-    def sym_row(s: SignedPauliString) -> int:
-        # Coefficients of the symplectic product against unknown [x | z]
-        # bits: z_i pairs with unknown x_i, x_i with unknown z_i.  The
-        # strings are wire-indexed, so wire i sits at bit i.
-        x, z = s.bits(range(n))
-        return z | x << n
-
-    for j, zrow in enumerate(free):
-        # the right-hand side (1 on free row j only) rides at bit 2n
-        rows = [sym_row(s) for s in z_out + x_out + free]
-        rows[len(z_out) + len(x_out) + j] |= 1 << 2 * n
-        sol = f2.solve(rows, (1 << 2 * n) - 1, 1 << 2 * n)
+    n, (rows, signs) = len(tab.outputs), tab._rows
+    # the right-hand side (1 on the free row being partnered) rides at bit 2n
+    eqs = [_swapped(r, n) for r in rows]
+    rhs = 1 << 2 * n
+    partners = []
+    for j in range(len(tab.inputs), n):
+        eqs[j] |= rhs
+        sol = f2.solve(eqs, rhs - 1, rhs)
+        eqs[j] ^= rhs
         if sol is None:
             raise ValueError("tableau rows violate symplectic constraints")
-        xbits = sol & ((1 << n) - 1)
-        zbits = sol >> n
-        partner = SignedPauliString.from_xz(f2.bits(xbits), f2.bits(zbits))
-        z_out.append(zrow)
-        x_out.append(partner)
-    return z_out, x_out
+        partners.append(sol)
+        eqs.append(_swapped(sol, n))
+    return rows + partners, signs
 
 
 def clifford_circuit_from_rows(z_out: List[SignedPauliString],
@@ -484,22 +478,19 @@ def clifford_circuit_from_rows(z_out: List[SignedPauliString],
     reduced to X_k and Z_k, signs are fixed with Z and X, and the
     reduction is returned reversed with S and Sdg swapped.
     """
-    return _clifford_gates(z_out, x_out, Gate)
+    return _clifford_gates(*_packed(list(z_out) + list(x_out), range(len(z_out))), Gate)
 
 
-def _clifford_gates(z_out, x_out, gate: Callable) -> List[Gate]:
-    """``clifford_circuit_from_rows`` with its gates built by gate(name, qubits)."""
-    n = len(z_out)
-    xc = [0] * n
-    zc = [0] * n
-    r = 0
-    for i, s in enumerate(list(z_out) + list(x_out)):
-        if s.sign == -1:
-            r |= 1 << i
-        for q in s.x:
-            xc[q] |= 1 << i
-        for q in s.z:
-            zc[q] |= 1 << i
+def _clifford_gates(rows: Sequence[int], signs: int, gate: Callable) -> List[Gate]:
+    """``clifford_circuit_from_rows`` on packed rows and a sign mask, its
+    gates built by gate(name, qubits)."""
+    n = len(rows) // 2
+    cols = [0] * (2 * n)
+    for i, row in enumerate(rows):
+        for q in f2.bits(row):
+            cols[q] |= 1 << i
+    xc, zc = cols[:n], cols[n:]
+    r = signs
     reducing: List[Tuple[str, Tuple[int, ...]]] = []
 
     def emit(name, a, b=None):
@@ -586,13 +577,11 @@ def _lowered_exp(string: SignedPauliString, angle: Fraction, gate: Callable) -> 
 def synthesize(pddag: Pddag, lower_exp: bool = False) -> Circuit:
     """Tableau synthesis (fresh |0> wires + Clifford) then one rotation per
     node; each distinct H, S, Sdg, CX, X or Z gate is built once per call."""
-    n = len(pddag.tableau.outputs)
-    m = len(pddag.tableau.inputs)
+    n, m = len(pddag.tableau.outputs), len(pddag.tableau.inputs)
     wire = {q: i for i, q in enumerate(pddag.tableau.outputs)}
-    z_out, x_out = _complete_tableau(pddag.tableau)
     gate = cache(Gate)
     gates: List[Gate] = [Gate("INIT0", (w,)) for w in range(m, n)]
-    gates += _clifford_gates(z_out, x_out, gate)
+    gates += _clifford_gates(*_complete_tableau(pddag.tableau), gate)
     for nid in pddag.node_ids:
         rot = pddag.nodes[nid]
         if rot.is_identity():

@@ -3,11 +3,14 @@ X/Z-set representation replaced.
 
 They work letter by letter: the product walks one factor's qubits through
 a single-qubit multiplication table, commutation counts qubits whose
-non-identity letters differ, and the three packers scan letters into
-symplectic bit masks in their two layouts.  The differential tests
-compare the library against them; nothing in ``src/`` imports this module.
-``complete_tableau`` is the partner completion built from them and the
-reference GF(2) solver, so it shares no elimination with ``_complete_tableau``.
+non-identity letters differ, and the packers scan letters into bit masks:
+``SignedPauliString.bits``'s (X mask, Z mask) pair, the PDDAG layer's one
+``[x | z]`` row layout (``packed``, with its sign mask and its inverse
+``unpacked``) and the ``[z | x]`` swap that symplectic products read.  The
+differential tests compare the library against them; nothing in ``src/``
+imports this module.  ``complete_tableau`` is the partner completion built
+from them and the reference GF(2) solver, so it shares no elimination
+with ``_complete_tableau``.
 """
 
 from pauliflow.pauli import SignedPauliString
@@ -47,7 +50,7 @@ def commutes(a, b):
 
 
 def tableau_bits(row, outputs):
-    """``IsometryTableau._symplectic`` layout: X at bit i, Z at bit n + i."""
+    """The ``[x | z]`` row layout: outputs[i] carries X at bit i and Z at bit n + i."""
     n = len(outputs)
     bits = 0
     for i, q in enumerate(outputs):
@@ -60,14 +63,14 @@ def tableau_bits(row, outputs):
 
 
 def xz_bits(string, pos):
-    """The ``Pddag`` order-mask packer: (X mask, Z mask) over positions."""
+    """``SignedPauliString.bits``: (X mask, Z mask) over positions."""
     x = sum(1 << pos[q] for q, letter in string.letters.items() if letter != "Z")
     z = sum(1 << pos[q] for q, letter in string.letters.items() if letter != "X")
     return x, z
 
 
 def partner_bits(s, n):
-    """``_complete_tableau`` layout over wires 0..n-1: Z at bit i, X at bit n + i."""
+    """The ``[z | x]`` swap over wires 0..n-1: Z at bit i, X at bit n + i."""
     bits = 0
     for i in range(n):
         l = s.letter(i)
@@ -76,6 +79,22 @@ def partner_bits(s, n):
         if l in ("X", "Y"):
             bits |= 1 << (n + i)
     return bits
+
+
+def packed(strings, qubits):
+    """``[x | z]`` rows over the qubits and the mask of the rows with sign -1."""
+    rows = [tableau_bits(s, qubits) for s in strings]
+    return rows, sum(1 << i for i, s in enumerate(strings) if s.phase_pow == 2)
+
+
+def unpacked(rows, signs, n):
+    """The wire-indexed Z images (rows 0..n-1) and X images (rows n..2n-1) of
+    packed rows over wires 0..n-1, signs from the mask."""
+    strings = []
+    for i, row in enumerate(rows):
+        s = bits_to_string(row & ((1 << n) - 1), row >> n)
+        strings.append(-s if signs >> i & 1 else s)
+    return strings[:n], strings[n:]
 
 
 def bits_to_string(x, z):

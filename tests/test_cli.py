@@ -327,22 +327,36 @@ def _depth_non_vertex(flow):
     flow["depth"] = {"a": 1, "zzz": 7}
 
 
-@pytest.mark.parametrize("mutate, path", [
-    (_depth_list, "/flow/depth"),
-    (lambda flow: flow.update(p=["a"]), "/flow/p"),
-    (lambda flow: flow.update(order=5), "/flow/order"),
-    (lambda flow: flow["p"].update(a=["zz"]), "/flow"),
-    (lambda flow: flow["order"].append(["o1", "i"]), "/flow"),
-    (_depth_non_vertex, "/flow/depth/zzz"),
-    (lambda flow: flow["order"].append(["zzz", "yyy"]), "/flow/order/13"),
-], ids=["depth-list", "p-list", "order-int", "p-names-non-vertex", "cyclic-order",
-        "depth-names-non-vertex", "order-names-non-vertex"])
-def test_malformed_flow_exit_2(tmp_path, capsys, mutate, path):
+_MALFORMED_FLOWS = [
+    ("depth-list", _depth_list, "/flow/depth"),
+    ("p-list", lambda flow: flow.update(p=["a"]), "/flow/p"),
+    ("order-int", lambda flow: flow.update(order=5), "/flow/order"),
+    ("p-names-non-vertex", lambda flow: flow["p"].update(a=["zz"]), "/flow"),
+    ("cyclic-order", lambda flow: flow["order"].append(["o1", "i"]), "/flow"),
+    ("depth-names-non-vertex", _depth_non_vertex, "/flow/depth/zzz"),
+    ("order-names-non-vertex", lambda flow: flow["order"].append(["zzz", "yyy"]),
+     "/flow/order/13"),
+    ("p-omits-measured", lambda flow: flow["p"].pop("a"), "/flow"),
+]
+
+
+# the flow verify cases keep their bare names; the rewrite cases add the command
+@pytest.mark.parametrize("command, mutate, path", [
+    pytest.param(command, mutate, path,
+                 id=name if command[0] == "flow" else f"{name}-{'-'.join(command)}")
+    for command in [("flow", "verify"), ("rewrite", "lc"), ("rewrite", "switch")]
+    for name, mutate, path in _MALFORMED_FLOWS
+])
+def test_malformed_flow_exit_2(tmp_path, capsys, command, mutate, path):
     # each of these used to end in a traceback, in exit 1 "value" or, for
-    # the non-vertices in the depth map or order, in exit 0
+    # the non-vertices in the depth map or order, in exit 0; rewrite read
+    # the correction sets before checking their shape (KeyError traceback)
     doc = worked_doc()
     mutate(doc["flow"])
-    assert schema_error_path(capsys, "flow", "verify", write(tmp_path, "p.json", doc)) == path
+    argv = [*command, write(tmp_path, "p.json", doc)]
+    if command[0] == "rewrite":
+        argv += ["--at", "c"]
+    assert schema_error_path(capsys, *argv) == path
 
 
 @pytest.mark.parametrize("field, value, path", [

@@ -27,7 +27,7 @@ from pauliflow.oracle import (
 from pauliflow.pauli import from_letter_map, gate_to_exponentials
 from pauliflow.pddag import Circuit, Gate, _complete_tableau, synthesize
 from pauliflow.rewrite import local_complement_pattern, pivot_pattern
-from tests import reference_synth
+from tests import reference_pauli, reference_synth
 from tests.conftest import (
     random_angle,
     random_circuit_pattern,
@@ -246,8 +246,9 @@ def test_tableau_isometry_matches_synthesized_clifford():
         v = tableau_isometry(tab)
         assert v.shape == (2 ** n, 2 ** m)
         assert np.allclose(v.conj().T @ v, np.eye(2 ** m), atol=1e-9)
+        z_out, x_out = reference_pauli.unpacked(*_complete_tableau(tab), n)
         gates = tuple(Gate("INIT0", (w,)) for w in range(m, n)) \
-            + tuple(reference_synth.clifford_circuit_from_rows(*_complete_tableau(tab)))
+            + tuple(reference_synth.clifford_circuit_from_rows(z_out, x_out))
         want = circuit_semantics(Circuit(n, gates)).matrix
         assert equal_up_to_phase(DenseMap(v, (), ()), DenseMap(want, (), ()))
 

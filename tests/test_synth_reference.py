@@ -12,7 +12,8 @@ import pytest
 
 from pauliflow.extract import extract_pddag
 from pauliflow.pauli import single
-from pauliflow.pddag import _complete_tableau, clifford_circuit_from_rows
+from pauliflow.pddag import Gate, _clifford_gates, _complete_tableau, clifford_circuit_from_rows
+from tests import reference_pauli
 from tests import reference_synth as ref
 from tests.conftest import random_clifford_rows, sized_circuit_pattern, with_prepared_wires
 
@@ -40,6 +41,9 @@ def test_pipeline_tableaux_match_reference(n):
     for prepared in (0, n // 20):
         tab = extract_pddag(with_prepared_wires(pattern, prepared)).tableau
         assert len(tab.free_rows) == prepared
-        z_out, x_out = _complete_tableau(tab)
-        got = clifford_circuit_from_rows(z_out, x_out)
+        rows, signs = _complete_tableau(tab)
+        z_out, x_out = reference_pauli.complete_tableau(tab)
+        assert (rows, signs) == reference_pauli.packed(z_out + x_out, range(len(z_out)))
+        got = _clifford_gates(rows, signs, Gate)
+        assert got == clifford_circuit_from_rows(z_out, x_out)
         assert got == ref.clifford_circuit_from_rows(z_out, x_out)
